@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -1242,6 +1243,66 @@ TEST(DistributedSearch, EndpointDeathMidSearchKeepsEveryAcceptedTrial) {
   const std::string local_bytes = read_file(local_journal);
   ASSERT_FALSE(local_bytes.empty());
   EXPECT_EQ(read_file(fleet_journal), local_bytes);
+}
+
+/// Journaled trial verdicts by key ("passed/class" per record).
+std::map<std::string, std::string> journal_verdicts(const std::string& path) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : Journal::read_lines(path)) {
+    JsonRecord rec;
+    if (!parse_flat_json(line, &rec) || rec["type"] != "trial") continue;
+    out[rec["key"]] = rec["passed"] + "/" + rec["class"];
+  }
+  return out;
+}
+
+TEST(DistributedSearch, WholeFleetLossMidSearchFallsBackLocally) {
+  SKIP_WITHOUT_NET();
+  // The only endpoint dies after two results and never comes back: the
+  // rest of the search must run in-process and reach the same answer.
+  ServerProc dying = spawn_server(2, /*exit_after=*/2);
+  ASSERT_GT(dying.pid, 0);
+
+  const std::string oracle_journal = temp_journal("net_loss_oracle.jsonl");
+  const std::string fleet_journal = temp_journal("net_loss_fleet.jsonl");
+
+  search::SearchOptions local;
+  local.journal_timings = false;
+  local.journal_path = oracle_journal;
+  NetWorkload a = make_workload();
+  const search::SearchResult oracle =
+      search::run_search(a.image, &a.index, *a.verifier, local);
+
+  search::SearchOptions fleet;
+  fleet.endpoints = {dying.ep.str()};
+  fleet.remote_bench = "iso";
+  fleet.journal_timings = false;
+  fleet.journal_path = fleet_journal;
+  fleet.max_endpoint_failures = 2;
+  fleet.connect_timeout_ms = 200;
+  fleet.reconnect_max_ms = 20;
+  NetWorkload b = make_workload();
+  const search::SearchResult fres =
+      search::run_search(b.image, &b.index, *b.verifier, fleet);
+
+  EXPECT_FALSE(fres.metrics.remote_degraded);  // the fleet was up at start
+  EXPECT_GT(fres.metrics.remote_unserved, 0u);
+  EXPECT_EQ(fres.metrics.endpoints_lost, 1u);
+  EXPECT_EQ(fres.configs_tested, oracle.configs_tested);
+  EXPECT_EQ(fres.final_passed, oracle.final_passed);
+  EXPECT_EQ(config::to_text(b.index, fres.final_config),
+            config::to_text(a.index, oracle.final_config));
+
+  const std::map<std::string, std::string> want =
+      journal_verdicts(oracle_journal);
+  const std::map<std::string, std::string> got =
+      journal_verdicts(fleet_journal);
+  ASSERT_FALSE(got.empty());
+  for (const auto& [key, verdict] : got) {
+    const auto it = want.find(key);
+    ASSERT_NE(it, want.end()) << key;
+    EXPECT_EQ(verdict, it->second) << key;
+  }
 }
 
 TEST(DistributedSearch, ShardCacheServesRepeatSearchWithoutReevaluation) {

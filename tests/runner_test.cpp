@@ -17,6 +17,7 @@
 // The soak's campaign count scales via FPMIX_SOAK_CAMPAIGNS (CI sets 200).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 #include "runner/worker_pool.hpp"
 #include "search/search.hpp"
 #include "support/fault.hpp"
+#include "support/journal.hpp"
 #include "verify/evaluate.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -531,6 +533,70 @@ TEST(IsolatedSearch, HardFaultSoakConvergesToCleanResult) {
   // The campaigns actually destroyed workers (otherwise the soak silently
   // stopped injecting).
   EXPECT_GT(total_faults, 0u);
+}
+
+
+/// The journal's sealed records after the leading meta record. The meta
+/// line carries the search fingerprint, which tags isolated fault
+/// campaigns "+iso" by design; every trial record after it must agree.
+std::vector<std::string> trial_records(const std::string& path) {
+  std::vector<std::string> lines = Journal::read_lines(path);
+  if (!lines.empty()) lines.erase(lines.begin());
+  return lines;
+}
+
+TEST(IsolatedSearch, SoftFaultVotesMatchInProcessAtEqualLanes) {
+  SKIP_WITHOUT_FORK();
+  // Soft (in-VM) faults only, so the worker pool never absorbs a death and
+  // every execution index it draws equals the in-process attempt index:
+  // both executors must cast the same votes, retry the same trials and
+  // quarantine the same configs.
+  fault::Injector::Rates rates;
+  rates.flaky = 0.25;
+  rates.abort = 0.1;
+  rates.stall = 0.05;
+
+  std::size_t retries = 0;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE("campaign " + std::to_string(c));
+    const fault::Injector injector(0x5E7E0000 + c, rates);
+    search::SearchOptions base;
+    base.deadline_ms = 200;
+    base.max_retries = 2;
+    base.journal_timings = false;
+    base.fault_injector = &injector;
+
+    search::SearchOptions live = base;
+    live.num_threads = 2;
+    live.journal_path = testing::TempDir() + "votes_live.jsonl";
+    std::remove(live.journal_path.c_str());
+    IsoWorkload a = make_workload();
+    const search::SearchResult lres =
+        search::run_search(a.image, &a.index, *a.verifier, live);
+
+    search::SearchOptions iso = base;
+    iso.isolate_trials = true;
+    iso.num_workers = 2;
+    iso.journal_path = testing::TempDir() + "votes_iso.jsonl";
+    std::remove(iso.journal_path.c_str());
+    IsoWorkload b = make_workload();
+    const search::SearchResult ires =
+        search::run_search(b.image, &b.index, *b.verifier, iso);
+
+    EXPECT_FALSE(ires.metrics.isolation_degraded);
+    EXPECT_EQ(ires.configs_tested, lres.configs_tested);
+    EXPECT_EQ(config::to_text(b.index, ires.final_config),
+              config::to_text(a.index, lres.final_config));
+    EXPECT_EQ(ires.metrics.retries, lres.metrics.retries);
+    EXPECT_EQ(ires.metrics.quarantined, lres.metrics.quarantined);
+    EXPECT_EQ(ires.quarantine, lres.quarantine);
+    const std::vector<std::string> want = trial_records(live.journal_path);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(trial_records(iso.journal_path), want);
+    retries += lres.metrics.retries;
+  }
+  // The campaigns really forced re-votes (otherwise nothing was compared).
+  EXPECT_GT(retries, 0u);
 }
 
 }  // namespace
