@@ -9,7 +9,7 @@
 //                    [--worker-rlimit-as MB] [--fault-seed N]
 //                    [--metrics-json FILE] [--no-image-cache]
 //                    [--connect HOST:PORT,...] [--shard-cache]
-//                    [--journal-deterministic] [--serve PORT]
+//                    [--journal-deterministic]
 //                    [--engine switch|microop|jit] [--adopt]
 //                    [--heartbeat-ms N] [--reconnect-max-ms N]
 //                    [--gossip-ms N]
@@ -44,8 +44,7 @@
 // one fleet-wide trial cache across every scheduler connected to the same
 // daemons. --journal-deterministic zeroes per-trial timing fields in the
 // journal so a distributed run's journal is byte-identical to a local
-// run's. --serve PORT skips the search entirely and runs this binary as a
-// runner_serve daemon on 127.0.0.1:PORT (--workers sizes its pool).
+// run's. The daemons themselves are runner_serve processes.
 //
 // While connected, the scheduler streams every journal record to the
 // fleet (each daemon retains a replicated shard) and pings endpoints
@@ -69,24 +68,23 @@
 // warning (counted as jit_downgraded in --metrics-json).
 //
 // Exit codes: 0 search completed and the composition verified; 1 search
-// completed but the final composition fails verification; 2 usage error;
-// 3 internal failure (worker crash storm or internal-error trials).
-#include <algorithm>
-#include <atomic>
-#include <csignal>
+// completed but the final composition fails verification; 2 usage error
+// (unknown flag, a flag missing its value, a bad value, an unknown
+// benchmark or class); 3 internal failure (worker crash storm or
+// internal-error trials).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "config/textio.hpp"
 #include "kernels/workload.hpp"
-#include "net/server.hpp"
 #include "net/socket.hpp"
 #include "program/program.hpp"
 #include "search/search.hpp"
+#include "support/error.hpp"
 #include "support/fault.hpp"
+#include "support/flags.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
@@ -268,49 +266,14 @@ bool write_metrics_json(const std::string& path,
   return f.good();
 }
 
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true); }
-
-/// WorkloadFactory for --serve mode: any NAS analogue this binary can
-/// search, it can also serve.
-std::unique_ptr<net::ServedWorkload> build_served(const std::string& bench,
-                                                  char cls,
-                                                  std::string* error) {
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
-    if (error != nullptr) {
-      *error = strformat("unknown benchmark '%s'", bench.c_str());
-    }
-    return nullptr;
-  }
-  auto out = std::make_unique<net::ServedWorkload>();
-  out->image = kernels::build_image(w);
-  out->index = config::StructureIndex::build(program::lift(out->image));
-  out->verifier = kernels::make_verifier(w, out->image);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The benchmark is positional, but flag-only invocations (--serve) have
-  // no positional arguments at all.
+  // The benchmark is positional and optional; the class letter may follow
+  // it anywhere among the flags.
   std::string bench = "ep";
-  int first_flag = 2;
-  if (argc > 1 && argv[1][0] != '-') {
-    bench = argv[1];
-  } else {
-    first_flag = 1;
-  }
+  int first_flag = 1;
+  if (argc > 1 && argv[1][0] != '-') bench = argv[first_flag++];
   char cls = 'W';
   bool trace = false;
   bool refine = false;
@@ -319,171 +282,77 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 0;
   std::string out_path;
   std::string metrics_path;
-  bool serve_mode = false;
-  std::uint64_t serve_port = 0;
   search::SearchOptions opts;
   opts.keep_log = true;
-  for (int i = first_flag; i < argc; ++i) {
-    const std::string arg = argv[i];
+
+  const flags::Table value_flags = {
+      {"--out", flags::text(&out_path)},
+      {"--journal", flags::text(&opts.journal_path)},
+      {"--metrics-json", flags::text(&metrics_path)},
+      {"--threads", flags::integer(&opts.num_threads, 1)},
+      {"--workers", flags::integer(&opts.num_workers, 1, 256)},
+      {"--max-crashes", flags::integer(&opts.max_trial_crashes, 1, 64)},
+      {"--worker-rlimit-as",
+       flags::integer(&opts.worker_rlimit_as_mb, 64, 65536)},
+      {"--deadline-ms", flags::integer(&opts.deadline_ms)},
+      {"--retries", flags::integer(&opts.max_retries, 0, 16)},
+      {"--heartbeat-ms", flags::integer(&opts.heartbeat_ms, 0, 60000)},
+      {"--reconnect-max-ms", flags::integer(&opts.reconnect_max_ms, 1, 60000)},
+      {"--gossip-ms", flags::integer(&opts.gossip_ms, 0, 60000)},
+      {"--fault-seed",
+       [&](const char* flag, const char* v) {
+         have_fault_seed = true;
+         return flags::integer(&fault_seed)(flag, v);
+       }},
+      {"--connect",
+       [&](const char*, const char* v) {
+         for (std::string_view part : split_fields(v, ",")) {
+           net::Endpoint ep;
+           if (!net::parse_endpoint(part, &ep)) {
+             std::fprintf(stderr, "bad --connect endpoint '%.*s'\n",
+                          static_cast<int>(part.size()), part.data());
+             return false;
+           }
+           opts.endpoints.emplace_back(part);
+         }
+         return true;
+       }},
+      {"--engine",
+       [&](const char*, const char* v) {
+         const std::string name = v;
+         if (name == "switch") opts.engine = vm::Engine::kSwitch;
+         else if (name == "microop") opts.engine = vm::Engine::kMicroOp;
+         else if (name == "jit") opts.engine = vm::Engine::kJit;
+         else {
+           std::fprintf(stderr, "bad --engine value '%s' "
+                                "(expected switch, microop or jit)\n",
+                        name.c_str());
+           return false;
+         }
+         return true;
+       }},
+  };
+  const auto switches = [&](const std::string& arg) {
     if (arg == "--trace") trace = true;
     else if (arg == "--refine") refine = true;
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--no-resume") opts.resume = false;
     else if (arg == "--isolate") opts.isolate_trials = true;
     else if (arg == "--no-image-cache") opts.image_cache = false;
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    else if (arg == "--journal" && i + 1 < argc) opts.journal_path = argv[++i];
-    else if (arg == "--metrics-json" && i + 1 < argc) metrics_path = argv[++i];
-    else if (arg == "--threads" && i + 1 < argc) {
-      std::uint64_t n = 1;
-      if (!parse_u64(argv[++i], &n) || n == 0) {
-        std::fprintf(stderr, "bad --threads value '%s'\n", argv[i]);
-        return 2;
-      }
-      opts.num_threads = static_cast<std::size_t>(n);
-    }
-    else if (arg == "--workers" && i + 1 < argc) {
-      std::uint64_t n = 1;
-      if (!parse_u64(argv[++i], &n) || n == 0 || n > 256) {
-        std::fprintf(stderr, "bad --workers value '%s'\n", argv[i]);
-        return 2;
-      }
-      opts.num_workers = static_cast<std::size_t>(n);
-    }
-    else if (arg == "--max-crashes" && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], &n) || n == 0 || n > 64) {
-        std::fprintf(stderr, "bad --max-crashes value '%s'\n", argv[i]);
-        return 2;
-      }
-      opts.max_trial_crashes = static_cast<std::uint32_t>(n);
-    }
-    else if (arg == "--worker-rlimit-as" && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], &n) || n < 64 || n > 65536) {
-        std::fprintf(stderr, "bad --worker-rlimit-as value '%s' (MiB)\n",
-                     argv[i]);
-        return 2;
-      }
-      opts.worker_rlimit_as_mb = n;
-    }
-    else if (arg == "--fault-seed" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &fault_seed)) {
-        std::fprintf(stderr, "bad --fault-seed value '%s'\n", argv[i]);
-        return 2;
-      }
-      have_fault_seed = true;
-    }
-    else if (arg == "--deadline-ms" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &opts.deadline_ms)) {
-        std::fprintf(stderr, "bad --deadline-ms value '%s'\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--retries" && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], &n) || n > 16) {
-        std::fprintf(stderr, "bad --retries value '%s'\n", argv[i]);
-        return 2;
-      }
-      opts.max_retries = static_cast<std::uint32_t>(n);
-    }
-    else if (arg == "--connect" && i + 1 < argc) {
-      for (std::string_view part : split_fields(argv[++i], ",")) {
-        net::Endpoint ep;
-        if (!net::parse_endpoint(part, &ep)) {
-          std::fprintf(stderr, "bad --connect endpoint '%.*s'\n",
-                       static_cast<int>(part.size()), part.data());
-          return 2;
-        }
-        opts.endpoints.emplace_back(part);
-      }
-    }
-    else if (arg == "--engine" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "switch") opts.engine = vm::Engine::kSwitch;
-      else if (name == "microop") opts.engine = vm::Engine::kMicroOp;
-      else if (name == "jit") opts.engine = vm::Engine::kJit;
-      else {
-        std::fprintf(stderr, "bad --engine value '%s' "
-                             "(expected switch, microop or jit)\n",
-                     name.c_str());
-        return 2;
-      }
-    }
     else if (arg == "--shard-cache") opts.shard_cache = true;
     else if (arg == "--journal-deterministic") opts.journal_timings = false;
     else if (arg == "--adopt") opts.adopt_fleet = true;
-    else if (arg == "--heartbeat-ms" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &opts.heartbeat_ms) ||
-          opts.heartbeat_ms > 60000) {
-        std::fprintf(stderr, "bad --heartbeat-ms value '%s' (0 disables, "
-                             "max 60000)\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--reconnect-max-ms" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &opts.reconnect_max_ms) ||
-          opts.reconnect_max_ms == 0 || opts.reconnect_max_ms > 60000) {
-        std::fprintf(stderr, "bad --reconnect-max-ms value '%s' "
-                             "(1..60000)\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--gossip-ms" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &opts.gossip_ms) ||
-          opts.gossip_ms > 60000) {
-        std::fprintf(stderr, "bad --gossip-ms value '%s' (0 disables, "
-                             "max 60000)\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--serve" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &serve_port) || serve_port > 65535) {
-        std::fprintf(stderr, "bad --serve port '%s'\n", argv[i]);
-        return 2;
-      }
-      serve_mode = true;
-    }
     else if (arg.size() == 1) cls = arg[0];
-  }
+    else return false;
+    return true;
+  };
+  if (!flags::parse(argc, argv, first_flag, value_flags, switches)) return 2;
   opts.refine_composition = refine;
   if (opts.adopt_fleet && (opts.endpoints.empty() ||
                            opts.journal_path.empty())) {
     std::fprintf(stderr, "--adopt rebuilds the local journal from the "
                          "fleet, which needs --connect and --journal\n");
     return 2;
-  }
-
-  // --serve: become a runner daemon instead of searching (same daemon core
-  // as the standalone runner_serve binary).
-  if (serve_mode) {
-    if (!net::supported()) {
-      std::fprintf(stderr, "sockets are unsupported on this platform\n");
-      return 3;
-    }
-    net::Listener listener;
-    std::string error;
-    if (!listener.listen_on("127.0.0.1",
-                            static_cast<std::uint16_t>(serve_port), &error)) {
-      std::fprintf(stderr, "cannot listen: %s\n", error.c_str());
-      return 3;
-    }
-    net::ServerOptions sopts;
-    sopts.workers = static_cast<int>(
-        opts.num_workers != 0 ? opts.num_workers
-                              : std::max<std::size_t>(2, opts.num_threads));
-    sopts.verbose = !quiet;
-    if (!quiet) log::set_level(log::Level::kInfo);
-    std::printf("nas_search: serving on 127.0.0.1:%u (%d workers per "
-                "backend)\n",
-                static_cast<unsigned>(listener.port()), sopts.workers);
-    std::fflush(stdout);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    net::RunnerServer server(std::move(listener), build_served, sopts);
-    server.serve(&g_stop);
-    return 0;
   }
 
   // The stock hard-fault campaign: process-destroying faults only, so the
@@ -513,16 +382,10 @@ int main(int argc, char** argv) {
   }
 
   kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
+  try {
+    w = kernels::make_named(bench, cls);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 

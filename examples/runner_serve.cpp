@@ -55,7 +55,9 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "program/program.hpp"
+#include "support/error.hpp"
 #include "support/fault.hpp"
+#include "support/flags.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 
@@ -68,23 +70,16 @@ std::atomic<bool> g_stop{false};
 void handle_signal(int) { g_stop.store(true); }
 
 /// Maps a session's announced benchmark to a built workload. Every NAS
-/// analogue nas_search can search is servable.
+/// analogue nas_search can search is servable; an unknown benchmark or
+/// class rejects the session, never the daemon.
 std::unique_ptr<net::ServedWorkload> build_workload(const std::string& bench,
                                                     char cls,
                                                     std::string* error) {
   kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
-    if (error != nullptr) {
-      *error = strformat("unknown benchmark '%s'", bench.c_str());
-    }
+  try {
+    w = kernels::make_named(bench, cls);
+  } catch (const Error& e) {
+    if (error != nullptr) *error = e.what();
     return nullptr;
   }
   auto out = std::make_unique<net::ServedWorkload>();
@@ -94,13 +89,18 @@ std::unique_ptr<net::ServedWorkload> build_workload(const std::string& bench,
   return out;
 }
 
-/// Parses a probability in [0, 1]. Strict: the whole string must consume.
-bool parse_prob(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || v < 0.0 || v > 1.0) return false;
-  *out = v;
-  return true;
+/// A probability in [0, 1]. Strict: the whole string must consume.
+flags::Parser probability(double* out) {
+  return [out](const char* flag, const char* value) {
+    char* end = nullptr;
+    const double v = std::strtod(value, &end);
+    if (end == value || *end != '\0' || v < 0.0 || v > 1.0) {
+      std::fprintf(stderr, "bad %s value '%s' (expected 0..1)\n", flag, value);
+      return false;
+    }
+    *out = v;
+    return true;
+  };
 }
 
 }  // namespace
@@ -115,77 +115,30 @@ int main(int argc, char** argv) {
   std::uint64_t disk_seed = 0;
   double disk_fault_rate = 0.02;
   double disk_unreadable_rate = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  const flags::Table value_flags = {
+      {"--host", flags::text(&host)},
+      {"--port", flags::integer(&port, 0, 65535)},
+      {"--port-file", flags::text(&port_file)},
+      {"--workers", flags::integer(&sopts.workers, 1, 256)},
+      {"--exit-after", flags::integer(&sopts.exit_after_results)},
+      {"--max-sessions", flags::integer(&sopts.max_sessions, 1, 4096)},
+      {"--idle-timeout-ms", flags::integer(&sopts.idle_timeout_ms)},
+      {"--state-dir", flags::text(&sopts.state_dir)},
+      {"--disk-fault-seed",
+       [&](const char* flag, const char* v) {
+         have_disk_seed = true;
+         return flags::integer(&disk_seed)(flag, v);
+       }},
+      {"--disk-fault-rate", probability(&disk_fault_rate)},
+      {"--disk-unreadable-rate", probability(&disk_unreadable_rate)},
+  };
+  const auto switches = [&](const std::string& arg) {
     if (arg == "--quiet") quiet = true;
-    else if (arg == "--host" && i + 1 < argc) host = argv[++i];
-    else if (arg == "--port" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &port) || port > 65535) {
-        std::fprintf(stderr, "bad --port value '%s'\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--port-file" && i + 1 < argc) port_file = argv[++i];
-    else if (arg == "--workers" && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], &n) || n == 0 || n > 256) {
-        std::fprintf(stderr, "bad --workers value '%s'\n", argv[i]);
-        return 2;
-      }
-      sopts.workers = static_cast<int>(n);
-    }
-    else if (arg == "--exit-after" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &sopts.exit_after_results)) {
-        std::fprintf(stderr, "bad --exit-after value '%s'\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--max-sessions" && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], &n) || n == 0 || n > 4096) {
-        std::fprintf(stderr, "bad --max-sessions value '%s' (1..4096)\n",
-                     argv[i]);
-        return 2;
-      }
-      sopts.max_sessions = static_cast<std::size_t>(n);
-    }
-    else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &sopts.idle_timeout_ms)) {
-        std::fprintf(stderr, "bad --idle-timeout-ms value '%s' "
-                             "(0 disables)\n", argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--state-dir" && i + 1 < argc) {
-      sopts.state_dir = argv[++i];
-    }
     else if (arg == "--state-fsync") sopts.state_fsync = true;
-    else if (arg == "--disk-fault-seed" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &disk_seed)) {
-        std::fprintf(stderr, "bad --disk-fault-seed value '%s'\n", argv[i]);
-        return 2;
-      }
-      have_disk_seed = true;
-    }
-    else if (arg == "--disk-fault-rate" && i + 1 < argc) {
-      if (!parse_prob(argv[++i], &disk_fault_rate)) {
-        std::fprintf(stderr, "bad --disk-fault-rate value '%s' (0..1)\n",
-                     argv[i]);
-        return 2;
-      }
-    }
-    else if (arg == "--disk-unreadable-rate" && i + 1 < argc) {
-      if (!parse_prob(argv[++i], &disk_unreadable_rate)) {
-        std::fprintf(stderr, "bad --disk-unreadable-rate value '%s' "
-                             "(0..1)\n", argv[i]);
-        return 2;
-      }
-    }
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
+    else return false;
+    return true;
+  };
+  if (!flags::parse(argc, argv, 1, value_flags, switches)) return 2;
   if (!quiet) {
     sopts.verbose = true;
     log::set_level(log::Level::kInfo);

@@ -2,6 +2,8 @@
 
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
+#include "support/error.hpp"
+#include "support/strings.hpp"
 #include "verify/evaluate.hpp"
 
 namespace fpmix::kernels {
@@ -24,6 +26,18 @@ std::unique_ptr<verify::Verifier> make_verifier(
     v->set_output_tolerance(t.index, t.rel, t.abs);
   }
   return v;
+}
+
+Workload make_named(const std::string& bench, char cls) {
+  if (bench == "ep") return make_ep(cls);
+  if (bench == "cg") return make_cg(cls);
+  if (bench == "ft") return make_ft(cls);
+  if (bench == "mg") return make_mg(cls);
+  if (bench == "bt") return make_bt(cls);
+  if (bench == "lu") return make_lu(cls);
+  if (bench == "sp") return make_sp(cls);
+  if (bench == "amg") return make_amg();
+  throw Error(strformat("unknown benchmark '%s'", bench.c_str()));
 }
 
 std::vector<Workload> all_serial_workloads() {

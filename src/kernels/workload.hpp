@@ -65,6 +65,11 @@ Workload make_sp(char cls);
 // ---- ASC AMG microkernel analogue (Section 3.2) ----------------------------
 Workload make_amg();
 
+/// A searchable workload by name: one of the NAS analogues above
+/// (ep/cg/ft/mg/bt/lu/sp, class `cls`) or amg (which has no classes).
+/// Throws fpmix::Error for an unknown benchmark or class.
+Workload make_named(const std::string& bench, char cls);
+
 // ---- SuperLU analogue: banded solver on the memplus-like system ------------
 /// `threshold` is the error bound the verification driver enforces
 /// (Figure 11 sweeps it from 1e-3 down to 1e-6).

@@ -106,6 +106,9 @@ void WorkerPool::finish(std::uint64_t ticket, verify::EvalResult result,
   f.outcome.result = std::move(result);
   f.outcome.worker_deaths = it->second.deaths;
   f.outcome.quarantined = quarantined;
+  f.outcome.settled =
+      quarantined ||
+      f.outcome.result.failure_class == verify::FailureClass::kInternalError;
   const std::uint64_t start = it->second.first_ns;
   f.outcome.wall_ns = start != 0 && now_ns() > start ? now_ns() - start : 0;
   work_.erase(it);
@@ -455,6 +458,7 @@ std::vector<TrialOutcome> WorkerPool::run_batch(
     o.result.passed = false;
     o.result.failure_class = verify::FailureClass::kInternalError;
     o.result.failure = "process isolation is unsupported on this platform";
+    o.settled = true;
   }
   return out;
 #else
@@ -463,6 +467,7 @@ std::vector<TrialOutcome> WorkerPool::run_batch(
       o.result.passed = false;
       o.result.failure_class = verify::FailureClass::kInternalError;
       o.result.failure = "worker pool has no running workers";
+      o.settled = true;
     }
     return out;
   }

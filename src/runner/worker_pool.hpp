@@ -110,6 +110,10 @@ struct PoolStats {
 struct TrialJob {
   std::string key;
   const config::PrecisionConfig* config = nullptr;
+  /// Vote attempt of this trial, counted from 0. The in-process executor
+  /// draws its faults from (key, attempt); the sandboxed executors count
+  /// executions themselves (a retried worker death draws afresh).
+  std::uint32_t attempt = 0;
 };
 
 struct TrialOutcome {
@@ -125,6 +129,11 @@ struct TrialOutcome {
   /// endpoint down, in the distributed scheduler); the caller falls back
   /// to in-process evaluation. The pool itself always serves.
   bool served = true;
+  /// True when `result` is final and must not vote: a quarantine verdict
+  /// or a harness-side kInternalError (crash storm, no workers). Set by the
+  /// executor that built the outcome; the in-process executor never sets
+  /// it, so there an internal error is an ordinary failing vote.
+  bool settled = false;
 };
 
 /// Supervisor for a fleet of sandboxed Workers. Not thread-safe: one
@@ -142,7 +151,7 @@ class WorkerPool {
 
   /// Executes every job and returns outcomes in job order. Handles crash
   /// retries, respawns, timeouts and quarantine internally; after a crash
-  /// storm the remaining jobs come back as kInternalError failures.
+  /// storm the remaining jobs come back as settled kInternalError failures.
   std::vector<TrialOutcome> run_batch(const std::vector<TrialJob>& jobs);
 
   // ---- Asynchronous interface (the runner daemon's event loop) ------------

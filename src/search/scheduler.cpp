@@ -234,6 +234,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
             state[i].deaths);
         o.worker_deaths = state[i].deaths;
         o.quarantined = true;
+        o.settled = true;
         o.served = true;
         state[i].done = true;
         --remaining;
@@ -421,6 +422,8 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
         o.wall_ns = r.wall_ns;
         o.worker_deaths = r.worker_deaths;
         o.quarantined = (r.flags & net::kResultQuarantined) != 0;
+        o.settled = o.quarantined || o.result.failure_class ==
+                                         verify::FailureClass::kInternalError;
         o.served = true;
         state[i].done = true;
         state[i].in_flight = false;

@@ -2,10 +2,12 @@
 //
 // Fans trial batches out across a fleet of runner_serve endpoints with
 // many trials outstanding per connection, picking the least-loaded shard
-// (in-flight trials per worker) for each dispatch. The scheduler is the
-// drop-in remote counterpart of runner::WorkerPool::run_batch: same job
-// type, same outcome type, same contract (every job gets an outcome, in
-// job order), so the search core stays executor-agnostic.
+// (in-flight trials per worker) for each dispatch. run_batch implements
+// the search::TrialExecutor contract, alongside the in-process executor and
+// runner::WorkerPool::run_batch: same job type, same outcome type, every
+// job gets an outcome in job order, and the executor itself marks outcomes
+// that are settled outside the vote -- so the search's one vote loop stays
+// executor-agnostic.
 //
 // Endpoint failure handling mirrors the pool's worker supervision one
 // level up. A dead connection is a fault event, not a verdict: its
@@ -14,8 +16,8 @@
 // taxonomy as a crash-looping config), and the endpoint itself is retried
 // with jittered exponential backoff until a consecutive-failure budget
 // marks it lost. When every endpoint is lost, outcomes come back with
-// served == false and the caller (the search) degrades to in-process
-// evaluation -- availability over distribution, never a wrong verdict.
+// served == false and the search's fleet executor runs those jobs
+// in-process -- availability over distribution, never a wrong verdict.
 #pragma once
 
 #include <cstdint>

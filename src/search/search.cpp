@@ -153,9 +153,10 @@ std::string unit_name(const StructureIndex& ix, const Unit& u) {
 class Searcher {
  public:
   Searcher(const program::Image& original, StructureIndex* index,
-           const verify::Verifier& verifier, const SearchOptions& options)
+           const verify::Verifier& verifier, const SearchOptions& options,
+           TrialExecutor executor, std::size_t lanes)
       : original_(original), ix_(*index), verifier_(verifier),
-        options_(options) {}
+        options_(options), exec_(std::move(executor)), lanes_(lanes) {}
 
   SearchResult run() {
     resolve_engine();
@@ -167,57 +168,25 @@ class Searcher {
     setup_journal();
     profile_original();
     setup_builder();
-    setup_pool();
+    setup_executor();
     seed_queue();
 
-    // In isolate mode the driver stays single-threaded (the forked workers
-    // are the parallelism, and threads + fork do not mix); otherwise live
-    // evaluations fan out on a thread pool.
-    std::unique_ptr<ThreadPool> tpool;
-    if (pool_ == nullptr && sched_ == nullptr) {
-      tpool = std::make_unique<ThreadPool>(
-          std::max<std::size_t>(1, options_.num_threads));
-    }
-    const std::size_t lanes =
-        sched_ != nullptr
-            ? std::max<std::size_t>(1, sched_->capacity())
-            : (pool_ != nullptr
-                   ? std::max<std::size_t>(1, pool_workers_)
-                   : std::max<std::size_t>(1, options_.num_threads));
     while (!queue_.empty()) {
       // Pop a batch (highest priority first), resolve cache hits, and
       // evaluate the misses concurrently. Trials are committed in pop
-      // order, so trace/journal order is deterministic for any thread
-      // count.
-      const std::size_t batch = std::min(queue_.size(), lanes);
+      // order, so trace/journal order is deterministic for any lane count.
+      const std::size_t batch = std::min(queue_.size(), lanes_);
       std::vector<Trial> trials;
       trials.reserve(batch);
       for (std::size_t i = 0; i < batch; ++i) {
         trials.push_back(make_trial(pop_unit()));
       }
 
-      std::vector<std::size_t> live;
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        if (!trials[i].cached) live.push_back(i);
+      std::vector<Trial*> live;
+      for (Trial& t : trials) {
+        if (!t.cached) live.push_back(&t);
       }
-      if (sched_ != nullptr && !live.empty()) {
-        std::vector<Trial*> lp;
-        lp.reserve(live.size());
-        for (std::size_t i : live) lp.push_back(&trials[i]);
-        evaluate_remote(lp);
-      } else if (pool_ != nullptr && !live.empty()) {
-        std::vector<Trial*> lp;
-        lp.reserve(live.size());
-        for (std::size_t i : live) lp.push_back(&trials[i]);
-        evaluate_isolated(lp);
-      } else if (live.size() == 1) {
-        evaluate_live(&trials[live[0]]);
-      } else if (!live.empty()) {
-        for (std::size_t i : live) {
-          tpool->submit([this, &trials, i] { evaluate_live(&trials[i]); });
-        }
-        tpool->wait_idle();
-      }
+      evaluate(live);
 
       for (Trial& t : trials) {
         commit_trial(&t, unit_name(ix_, t.unit),
@@ -429,9 +398,8 @@ class Searcher {
   };
 
   /// Folds one evaluation attempt's stage costs and incremental-pipeline
-  /// accounting into the trial's accumulators. The single bookkeeping path
-  /// for both engines: evaluate_live calls it per in-process attempt,
-  /// evaluate_isolated per worker-delivered result.
+  /// accounting into the trial's accumulators (the vote loop calls it per
+  /// delivered outcome, whichever executor produced it).
   static void note_attempt(Trial* t) {
     const verify::EvalResult& r = t->result;
     t->patch_ns += r.patch_ns;
@@ -455,7 +423,6 @@ class Searcher {
 
   /// Settles the vote: majority verdict, ties failing (a config that
   /// cannot be trusted to pass must not enter the final composition).
-  /// Shared by the in-process and isolated paths.
   static void apply_majority_verdict(Trial* t, std::uint32_t passes,
                                      std::uint32_t fails) {
     const bool verdict = passes > fails;
@@ -693,34 +660,112 @@ class Searcher {
     sched_ = std::move(sched);
   }
 
-  void setup_pool() {
-    if (!options_.isolate_trials) return;
-    if (sched_ != nullptr) return;  // endpoints sandbox trials remotely
+  /// Picks the one executor every live trial runs on -- a caller-supplied
+  /// one, the fleet, the sandboxed worker pool, or in-process threads --
+  /// and its lane count. Lanes are fixed here, before the first batch:
+  /// batch boundaries decide trial order, so a fleet shrinking mid-search
+  /// must not reorder the journal.
+  void setup_executor() {
+    if (exec_) return;
+    ctx_.image = &original_;
+    ctx_.index = &ix_;
+    ctx_.verifier = &verifier_;
+    ctx_.eval.max_instructions = options_.max_instructions_per_run;
+    // Pass/fail is all a trial reports; per-instruction counts come only
+    // from profile_original(), so the VM can take its non-profiling loop.
+    ctx_.eval.profile = false;
+    ctx_.eval.engine = engine_;
+    ctx_.eval.deadline_ns = options_.deadline_ms * 1000000ull;
+    // Forked workers inherit the builder's warm caches (copy-on-write) and
+    // keep their private copies hot across requests for the worker's
+    // lifetime; each respawn starts from the driver's state at fork time.
+    ctx_.eval.builder = builder_.get();
+    ctx_.injector = options_.fault_injector;
+    if (sched_ != nullptr) {
+      // Endpoints sandbox trials remotely, so there is no local pool. The
+      // fleet gets a local safety net instead: a job no endpoint can serve
+      // at all (every endpoint lost) runs in-process, serially, in the same
+      // round, so the search still completes.
+      lanes_ = std::max<std::size_t>(1, sched_->capacity());
+      exec_ = [this](const std::vector<runner::TrialJob>& jobs) {
+        std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          if (outs[i].served) continue;
+          ++metrics_.remote_unserved;
+          outs[i] = run_in_process(jobs[i]);
+        }
+        return outs;
+      };
+      return;
+    }
+    if (options_.isolate_trials && setup_pool()) {
+      exec_ = [this](const std::vector<runner::TrialJob>& jobs) {
+        return pool_->run_batch(jobs);
+      };
+      return;
+    }
+    // In isolate mode the driver stays single-threaded (the forked workers
+    // are the parallelism, and threads + fork do not mix), so only the
+    // in-process executor gets a thread pool.
+    lanes_ = std::max<std::size_t>(1, options_.num_threads);
+    if (lanes_ > 1) tpool_ = std::make_unique<ThreadPool>(lanes_);
+    exec_ = [this](const std::vector<runner::TrialJob>& jobs) {
+      return run_in_process(jobs);
+    };
+  }
+
+  /// The in-process executor: a one-job batch runs inline on the driver
+  /// thread, larger ones fan out on the thread pool. Every outcome votes
+  /// (an internal error included), and fault draws depend only on (key,
+  /// attempt), so verdicts are the same for any batching or thread count.
+  std::vector<runner::TrialOutcome> run_in_process(
+      const std::vector<runner::TrialJob>& jobs) {
+    std::vector<runner::TrialOutcome> outs(jobs.size());
+    if (jobs.size() == 1 || tpool_ == nullptr) {
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        outs[i] = run_in_process(jobs[i]);
+      }
+      return outs;
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      tpool_->submit(
+          [this, &outs, &jobs, i] { outs[i] = run_in_process(jobs[i]); });
+    }
+    tpool_->wait_idle();
+    return outs;
+  }
+
+  /// Patch + run + verify one attempt; private state per call, so safe on
+  /// pool threads.
+  runner::TrialOutcome run_in_process(const runner::TrialJob& job) const {
+    verify::EvalOptions eopts = ctx_.eval;
+    fault::TrialFaults faults;
+    if (ctx_.injector != nullptr) {
+      faults = ctx_.injector->for_trial(job.key, job.attempt);
+      eopts.faults = &faults;
+    }
+    Timer timer;
+    runner::TrialOutcome out;
+    out.result =
+        verify::evaluate_config(original_, ix_, *job.config, verifier_, eopts);
+    out.wall_ns = timer.elapsed_ns();
+    return out;
+  }
+
+  /// Starts the sandboxed worker pool and sizes the lanes to it. False
+  /// (with a warning) when the search must run in-process instead.
+  bool setup_pool() {
     if (!runner::isolation_supported()) {
       log::warnf("search: trial isolation requested but fork is unavailable "
                  "on this platform; running trials in-process");
       metrics_.isolation_degraded = true;
-      return;
+      return false;
     }
-    runner::WorkerContext ctx;
-    ctx.image = &original_;
-    ctx.index = &ix_;
-    ctx.verifier = &verifier_;
-    ctx.eval.max_instructions = options_.max_instructions_per_run;
-    ctx.eval.profile = false;
-    ctx.eval.engine = engine_;
-    ctx.eval.deadline_ns = options_.deadline_ms * 1000000ull;
-    // Forked workers inherit the builder's warm caches (copy-on-write) and
-    // keep their private copies hot across requests for the worker's
-    // lifetime; each respawn starts from the driver's state at fork time.
-    ctx.eval.builder = builder_.get();
-    ctx.injector = options_.fault_injector;
-
     runner::PoolOptions popts;
-    pool_workers_ = options_.num_workers != 0
-                        ? options_.num_workers
-                        : std::max<std::size_t>(1, options_.num_threads);
-    popts.workers = static_cast<int>(pool_workers_);
+    lanes_ = options_.num_workers != 0
+                 ? options_.num_workers
+                 : std::max<std::size_t>(1, options_.num_threads);
+    popts.workers = static_cast<int>(lanes_);
     popts.max_crashes_per_config = options_.max_trial_crashes;
     popts.limits.address_space_mb = options_.worker_rlimit_as_mb;
     // Supervisor wall-clock backstop over the worker's own VM deadline: a
@@ -729,26 +774,30 @@ class Searcher {
     popts.trial_timeout_ms =
         options_.deadline_ms > 0 ? options_.deadline_ms * 3 + 1000 : 0;
 
-    auto pool = std::make_unique<runner::WorkerPool>(ctx, popts);
+    auto pool = std::make_unique<runner::WorkerPool>(ctx_, popts);
     if (!pool->start()) {
       log::warnf("search: could not spawn any sandboxed worker; running "
                  "trials in-process");
       metrics_.isolation_degraded = true;
-      return;
+      return false;
     }
     pool_ = std::move(pool);
+    return true;
   }
 
-  /// Isolated counterpart of evaluate_live: runs each trial's attempts on
-  /// the worker pool, whole-batch rounds, mirroring the majority-vote
-  /// policy. Worker deaths never vote -- the pool retries them internally
-  /// and only delivers verdicts, quarantine verdicts, or storm failures.
-  void evaluate_isolated(const std::vector<Trial*>& live) {
+  /// The one vote loop. Runs the live trials' attempts as whole-batch
+  /// rounds on the executor until one verdict holds a strict majority of
+  /// the allowed attempts (1 + max_retries): two agreeing attempts settle
+  /// the common (deterministic) case early, mixed verdicts burn more
+  /// attempts and flag the trial for quarantine. An outcome the executor
+  /// marks settled (breaker quarantine, crash storm) ends its trial at
+  /// once, outside the vote.
+  void evaluate(const std::vector<Trial*>& live) {
     const std::uint32_t max_attempts = 1 + options_.max_retries;
     struct Vote {
       std::uint32_t passes = 0;
       std::uint32_t fails = 0;
-      bool settled = false;  // quarantined/storm: the result stands as-is
+      bool settled = false;  // the executor's outcome stands as-is
     };
     std::vector<Vote> votes(live.size());
     std::vector<std::size_t> open(live.size());
@@ -759,20 +808,18 @@ class Searcher {
       std::vector<runner::TrialJob> jobs;
       jobs.reserve(open.size());
       for (std::size_t i : open) {
-        jobs.push_back(runner::TrialJob{live[i]->key, &live[i]->cfg});
+        jobs.push_back(runner::TrialJob{live[i]->key, &live[i]->cfg, attempt});
       }
-      const std::vector<runner::TrialOutcome> outs = pool_->run_batch(jobs);
+      std::vector<runner::TrialOutcome> outs = exec_(jobs);
       std::vector<std::size_t> next;
       for (std::size_t j = 0; j < open.size(); ++j) {
         const std::size_t i = open[j];
         Trial* t = live[i];
         Vote& v = votes[i];
-        t->result = outs[j].result;
+        t->result = std::move(outs[j].result);
         t->eval_ns += outs[j].wall_ns;
         note_attempt(t);
-        if (outs[j].quarantined ||
-            t->result.failure_class == verify::FailureClass::kInternalError) {
-          // Breaker verdict or crash storm: final, outside the vote.
+        if (outs[j].settled) {
           v.settled = true;
           continue;
         }
@@ -792,84 +839,10 @@ class Searcher {
       Trial* t = live[i];
       const Vote& v = votes[i];
       if (v.settled) {
-        t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails + 1);
-        t->mixed_votes = false;
+        t->attempts = v.passes + v.fails + 1;
         continue;
       }
-      t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails);
-      t->mixed_votes = v.passes > 0 && v.fails > 0;
-      apply_majority_verdict(t, v.passes, v.fails);
-    }
-  }
-
-  /// Distributed counterpart of evaluate_isolated: same whole-batch vote
-  /// rounds, but trials run on the remote fleet. A trial the fleet cannot
-  /// serve at all (every endpoint lost) falls back to a full local
-  /// evaluation so the search still completes.
-  void evaluate_remote(const std::vector<Trial*>& live) {
-    const std::uint32_t max_attempts = 1 + options_.max_retries;
-    struct Vote {
-      std::uint32_t passes = 0;
-      std::uint32_t fails = 0;
-      bool settled = false;  // quarantined/internal: the result stands
-      bool local = false;    // evaluate_live settled everything itself
-    };
-    std::vector<Vote> votes(live.size());
-    std::vector<std::size_t> open(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) open[i] = i;
-
-    for (std::uint32_t attempt = 0;
-         attempt < max_attempts && !open.empty(); ++attempt) {
-      std::vector<runner::TrialJob> jobs;
-      jobs.reserve(open.size());
-      for (std::size_t i : open) {
-        jobs.push_back(runner::TrialJob{live[i]->key, &live[i]->cfg});
-      }
-      const std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
-      std::vector<std::size_t> next;
-      for (std::size_t j = 0; j < open.size(); ++j) {
-        const std::size_t i = open[j];
-        Trial* t = live[i];
-        Vote& v = votes[i];
-        if (!outs[j].served) {
-          // Whole fleet gone mid-search: evaluate this trial locally
-          // (evaluate_live runs its own vote loop and settles the trial).
-          ++metrics_.remote_unserved;
-          evaluate_live(t);
-          v.settled = true;
-          v.local = true;
-          continue;
-        }
-        t->result = outs[j].result;
-        t->eval_ns += outs[j].wall_ns;
-        note_attempt(t);
-        if (outs[j].quarantined ||
-            t->result.failure_class == verify::FailureClass::kInternalError) {
-          v.settled = true;
-          continue;
-        }
-        if (t->result.passed) {
-          ++v.passes;
-        } else {
-          ++v.fails;
-        }
-        if (v.passes <= max_attempts / 2 && v.fails <= max_attempts / 2) {
-          next.push_back(i);
-        }
-      }
-      open = std::move(next);
-    }
-
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Trial* t = live[i];
-      const Vote& v = votes[i];
-      if (v.local) continue;
-      if (v.settled) {
-        t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails + 1);
-        t->mixed_votes = false;
-        continue;
-      }
-      t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails);
+      t->attempts = v.passes + v.fails;
       t->mixed_votes = v.passes > 0 && v.fails > 0;
       apply_majority_verdict(t, v.passes, v.fails);
     }
@@ -893,47 +866,6 @@ class Searcher {
     }
   }
 
-  /// Patch + run + verify; safe to call from pool threads (private state
-  /// per evaluation, writes only to *t). With max_retries > 0, evaluates
-  /// until one verdict holds a strict majority of the allowed attempts --
-  /// two agreeing attempts settle the common (deterministic) case early,
-  /// mixed verdicts burn more attempts and flag the trial for quarantine.
-  void evaluate_live(Trial* t) {
-    verify::EvalOptions eopts;
-    eopts.max_instructions = options_.max_instructions_per_run;
-    // Pass/fail is all a trial reports; per-instruction counts come only
-    // from profile_original(), so the VM can take its non-profiling loop.
-    eopts.profile = false;
-    eopts.engine = engine_;
-    eopts.deadline_ns = options_.deadline_ms * 1000000ull;
-    eopts.builder = builder_.get();
-
-    const std::uint32_t max_attempts = 1 + options_.max_retries;
-    std::uint32_t passes = 0;
-    std::uint32_t fails = 0;
-    Timer timer;
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-      fault::TrialFaults faults;
-      if (options_.fault_injector != nullptr) {
-        faults = options_.fault_injector->for_trial(t->key, attempt);
-        eopts.faults = &faults;
-      }
-      t->result =
-          verify::evaluate_config(original_, ix_, t->cfg, verifier_, eopts);
-      note_attempt(t);
-      if (t->result.passed) {
-        ++passes;
-      } else {
-        ++fails;
-      }
-      if (passes > max_attempts / 2 || fails > max_attempts / 2) break;
-    }
-    t->eval_ns = timer.elapsed_ns();
-    t->attempts = passes + fails;
-    t->mixed_votes = passes > 0 && fails > 0;
-    apply_majority_verdict(t, passes, fails);
-  }
-
   /// Cache-aware evaluation of a composed configuration (final union and
   /// refinement steps), sharing journal/metrics with frontier trials.
   verify::EvalResult run_config_trial(const PrecisionConfig& cfg,
@@ -941,15 +873,7 @@ class Searcher {
     Trial t;
     t.cfg = cfg;
     fill_from_cache(&t);
-    if (!t.cached) {
-      if (sched_ != nullptr) {
-        evaluate_remote({&t});
-      } else if (pool_ != nullptr) {
-        evaluate_isolated({&t});
-      } else {
-        evaluate_live(&t);
-      }
-    }
+    if (!t.cached) evaluate({&t});
     commit_trial(&t, name, config::replacement_stats(ix_, cfg).replaced_static,
                  "composition");
     return std::move(t.result);
@@ -1210,8 +1134,14 @@ class Searcher {
   /// WorkerContext) is destroyed first.
   std::unique_ptr<verify::TrialBuilder> builder_;
   std::unique_ptr<runner::WorkerPool> pool_;  // isolate mode only
-  std::size_t pool_workers_ = 1;
   std::unique_ptr<Scheduler> sched_;  // distributed mode only
+  std::unique_ptr<ThreadPool> tpool_;  // multi-threaded in-process only
+  /// What every trial is evaluated against, in-process or in a worker.
+  runner::WorkerContext ctx_;
+  /// Where every live trial runs, and how many jobs a batch holds (see
+  /// setup_executor()).
+  TrialExecutor exec_;
+  std::size_t lanes_ = 1;
 };
 
 }  // namespace
@@ -1219,9 +1149,11 @@ class Searcher {
 SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,
                         const verify::Verifier& verifier,
-                        const SearchOptions& options) {
+                        const SearchOptions& options,
+                        TrialExecutor executor, std::size_t lanes) {
   FPMIX_CHECK(index != nullptr);
-  Searcher s(original, index, verifier, options);
+  Searcher s(original, index, verifier, options, std::move(executor),
+             std::max<std::size_t>(1, lanes));
   return s.run();
 }
 

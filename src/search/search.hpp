@@ -19,12 +19,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "config/config.hpp"
 #include "program/image.hpp"
+#include "runner/worker_pool.hpp"
 #include "support/fault.hpp"
 #include "verify/evaluate.hpp"
 #include "verify/verifier.hpp"
@@ -374,6 +376,15 @@ struct SearchMetrics {
   std::vector<EndpointMetrics> endpoints_used;
 };
 
+/// The one trial-execution contract every live trial runs through: one
+/// batch of attempts in, one outcome per job out, in job order. The search
+/// binds it to its in-process executor, runner::WorkerPool::run_batch or
+/// search::Scheduler::run_batch; the executor marks outcomes that are
+/// settled outside the vote (TrialOutcome::settled), so the search's one
+/// vote loop never knows which executor it holds.
+using TrialExecutor = std::function<std::vector<runner::TrialOutcome>(
+    const std::vector<runner::TrialJob>&)>;
+
 struct SearchResult {
   config::PrecisionConfig final_config;  // union of all passing units
   bool final_passed = false;             // verification of the composition
@@ -400,10 +411,14 @@ struct SearchResult {
 /// Runs the full pipeline of Figure 2: profile the original binary, search
 /// the configuration space breadth-first, compose and test the final
 /// configuration. `index` must be built from `original` and is updated in
-/// place with profile weights.
+/// place with profile weights. Live trials run on `executor`, in batches
+/// of up to `lanes` jobs, when one is given (tests script outcomes through
+/// it); otherwise on the executor `options` select.
 SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,
                         const verify::Verifier& verifier,
-                        const SearchOptions& options = {});
+                        const SearchOptions& options = {},
+                        TrialExecutor executor = nullptr,
+                        std::size_t lanes = 1);
 
 }  // namespace fpmix::search

@@ -9,6 +9,7 @@
 #include "kernels/workload.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "support/error.hpp"
 #include "verify/evaluate.hpp"
 #include "vm/machine.hpp"
 
@@ -112,6 +113,16 @@ INSTANTIATE_TEST_SUITE_P(All, WorkloadSweep, ::testing::Range(0, 16));
 
 // ---------------------------------------------------------------------------
 // Designed precision characteristics.
+
+TEST(NamedWorkloads, ResolveEveryCliNameAndRejectUnknownOnes) {
+  // The CLIs and the runner daemon resolve workloads by name; a bad name or
+  // class must surface as fpmix::Error (a usage error or a rejected
+  // session), never an abort.
+  EXPECT_EQ(make_named("cg", 'S').name, make_cg('S').name);
+  EXPECT_EQ(make_named("amg", 'Q').name, make_amg().name);
+  EXPECT_THROW(make_named("ep", 'Q'), Error);
+  EXPECT_THROW(make_named("nope", 'W'), Error);
+}
 
 TEST(EpKernel, RngIsPrecisionSensitiveButTalliesAreNot) {
   Prepared p = prepare(make_ep('S'));

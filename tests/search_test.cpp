@@ -3,6 +3,10 @@
 // key claims (coarsest-granularity results, pruning effectiveness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+
 #include "config/textio.hpp"
 #include "kernels/workload.hpp"
 #include "lang/builder.hpp"
@@ -237,6 +241,93 @@ TEST(Search, FinalConfigSerializesToFigure3Format) {
   const std::string text = config::to_text(p.index, res.final_config);
   const config::PrecisionConfig parsed = config::from_text(p.index, text);
   EXPECT_EQ(parsed, res.final_config);
+}
+
+
+/// A scripted executor: the outcome of every attempt is a pure function of
+/// its attempt index, so the vote rules can be checked without running
+/// anything. Records the batches it was handed.
+struct ScriptedExecutor {
+  static constexpr std::size_t kLanes = 3;
+
+  TrialExecutor bind() {
+    return [this](const std::vector<runner::TrialJob>& jobs) {
+      largest_batch = std::max(largest_batch, jobs.size());
+      std::vector<runner::TrialOutcome> outs;
+      for (const runner::TrialJob& job : jobs) {
+        ++attempts_by_index[job.attempt];
+        outs.push_back(script(job.attempt));
+      }
+      return outs;
+    };
+  }
+
+  std::function<runner::TrialOutcome(std::uint32_t)> script;
+  std::size_t largest_batch = 0;
+  std::map<std::uint32_t, std::size_t> attempts_by_index;
+};
+
+runner::TrialOutcome scripted(bool passed) {
+  runner::TrialOutcome o;
+  o.result.passed = passed;
+  if (!passed) {
+    o.result.failure_class = verify::FailureClass::kDivergence;
+    o.result.failure = "scripted failure";
+  }
+  return o;
+}
+
+TEST(Search, MixedVotesSettleByMajorityAndQuarantine) {
+  // pass, fail, pass: no verdict holds a majority of three attempts until
+  // the third, so every trial passes on 2-of-3 and is quarantined.
+  ScriptedExecutor exec;
+  exec.script = [](std::uint32_t attempt) { return scripted(attempt != 1); };
+  Prepared p = prepare(two_module_program(), 1e-12);
+  SearchOptions opts;
+  opts.max_retries = 2;
+  const SearchResult res = run_search(p.image, &p.index, *p.verifier, opts,
+                                      exec.bind(), ScriptedExecutor::kLanes);
+
+  const std::size_t live = res.metrics.trials_live;
+  // Every module passes whole, so nothing descends: one trial per module
+  // with candidates, plus the final composition.
+  EXPECT_EQ(live, res.configs_tested);
+  EXPECT_LE(live, p.index.modules().size() + 1);
+  EXPECT_TRUE(res.final_passed);
+  EXPECT_EQ(res.metrics.retries, 2 * live);
+  EXPECT_EQ(res.metrics.quarantined, live);
+  EXPECT_EQ(res.quarantine.size(), live);
+  EXPECT_EQ(exec.attempts_by_index[0], live);
+  EXPECT_EQ(exec.attempts_by_index[2], live);
+  EXPECT_LE(exec.largest_batch, ScriptedExecutor::kLanes);
+}
+
+TEST(Search, SettledOutcomeEndsTheTrialOutsideTheVote) {
+  // A pass vote, then a breaker verdict: the breaker's failure stands, the
+  // trial records votes + 1 attempts, and it is never quarantined as mixed.
+  ScriptedExecutor exec;
+  exec.script = [](std::uint32_t attempt) {
+    if (attempt == 0) return scripted(true);
+    runner::TrialOutcome o = scripted(false);
+    o.result.failure_class = verify::FailureClass::kCrash;
+    o.quarantined = true;
+    o.settled = true;
+    return o;
+  };
+  Prepared p = prepare(two_module_program(), 1e-12);
+  SearchOptions opts;
+  opts.max_retries = 2;
+  opts.stop_level = StopLevel::kFunction;
+  const SearchResult res = run_search(p.image, &p.index, *p.verifier, opts,
+                                      exec.bind(), ScriptedExecutor::kLanes);
+
+  const std::size_t live = res.metrics.trials_live;
+  EXPECT_GT(live, p.index.modules().size());  // failures descended
+  EXPECT_FALSE(res.final_passed);
+  EXPECT_EQ(res.metrics.retries, live);
+  EXPECT_EQ(res.metrics.quarantined, 0u);
+  EXPECT_EQ(res.metrics.failures_by_class.at("crash"), live);
+  EXPECT_EQ(exec.attempts_by_index.count(2), 0u);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "support/backoff.hpp"
+#include "support/flags.hpp"
 #include "support/hash.hpp"
 #include "support/journal.hpp"
 #include "support/rng.hpp"
@@ -71,6 +73,46 @@ TEST(Strings, ParseNumbers) {
 
 // ---------------------------------------------------------------------------
 // Stable hashing.
+
+/// Runs flags::parse over `args` (no program name) with one text flag, one
+/// bounded integer flag and one switch.
+struct FlagRun {
+  std::string out;
+  std::uint32_t retries = 0;
+  bool quiet = false;
+  bool ok = false;
+
+  explicit FlagRun(std::vector<std::string> args) {
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    const flags::Table values = {
+        {"--out", flags::text(&out)},
+        {"--retries", flags::integer(&retries, 0, 16)},
+    };
+    ok = flags::parse(static_cast<int>(argv.size()), argv.data(), 0, values,
+                      [this](const std::string& arg) {
+                        if (arg != "--quiet") return false;
+                        quiet = true;
+                        return true;
+                      });
+  }
+};
+
+TEST(Flags, ParsesValuesAndSwitches) {
+  const FlagRun r({"--out", "x.cfg", "--quiet", "--retries", "16"});
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.out, "x.cfg");
+  EXPECT_EQ(r.retries, 16u);
+  EXPECT_TRUE(r.quiet);
+}
+
+TEST(Flags, RejectsUnknownMissingMalformedAndOutOfRange) {
+  EXPECT_FALSE(FlagRun({"--enigne", "jit"}).ok);  // unknown flag
+  EXPECT_FALSE(FlagRun({"--quiet", "--out"}).ok);  // value flag given last
+  EXPECT_FALSE(FlagRun({"--retries", "x"}).ok);    // malformed
+  EXPECT_FALSE(FlagRun({"--retries", "17"}).ok);   // out of range
+  EXPECT_FALSE(FlagRun({"--retries", "-1"}).ok);   // negative
+}
 
 TEST(Hash, MatchesFnv1aReferenceVectors) {
   // Values persisted in journal files must never drift, so pin the

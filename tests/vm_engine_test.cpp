@@ -33,6 +33,7 @@
 #include "program/program.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
 
@@ -110,7 +111,7 @@ lang::ProgramModel random_model(std::uint64_t seed) {
   constexpr int kScalars = 5;
   std::vector<lang::Var> vars;
   for (int i = 0; i < kScalars; ++i) {
-    vars.push_back(b.var_f64("v" + std::to_string(i)));
+    vars.push_back(b.var_f64(strformat("v%d", i)));
   }
   lang::Arr arr = b.array_f64("arr", 16);
   lang::Var idx = b.var_i64("idx");
@@ -162,7 +163,7 @@ lang::ProgramModel random_model(std::uint64_t seed) {
         break;
       case 2: {
         const auto body_var = rng.next_below(kScalars);
-        lang::Var loop_i = b.var_i64("i" + std::to_string(s));
+        lang::Var loop_i = b.var_i64(strformat("i%d", s));
         const auto iters =
             static_cast<std::int64_t>(2 + rng.next_below(6));
         b.for_(loop_i, b.ci(0), b.ci(iters), [&] {
