@@ -692,7 +692,7 @@ class Searcher {
         for (std::size_t i = 0; i < outs.size(); ++i) {
           if (outs[i].served) continue;
           ++metrics_.remote_unserved;
-          outs[i] = run_in_process(jobs[i]);
+          outs[i] = run_attempt(jobs[i]);
         }
         return outs;
       };
@@ -723,13 +723,13 @@ class Searcher {
     std::vector<runner::TrialOutcome> outs(jobs.size());
     if (jobs.size() == 1 || tpool_ == nullptr) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        outs[i] = run_in_process(jobs[i]);
+        outs[i] = run_attempt(jobs[i]);
       }
       return outs;
     }
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       tpool_->submit(
-          [this, &outs, &jobs, i] { outs[i] = run_in_process(jobs[i]); });
+          [this, &outs, &jobs, i] { outs[i] = run_attempt(jobs[i]); });
     }
     tpool_->wait_idle();
     return outs;
@@ -737,7 +737,7 @@ class Searcher {
 
   /// Patch + run + verify one attempt; private state per call, so safe on
   /// pool threads.
-  runner::TrialOutcome run_in_process(const runner::TrialJob& job) const {
+  runner::TrialOutcome run_attempt(const runner::TrialJob& job) const {
     verify::EvalOptions eopts = ctx_.eval;
     fault::TrialFaults faults;
     if (ctx_.injector != nullptr) {
