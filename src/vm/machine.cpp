@@ -7,7 +7,11 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <thread>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "arch/disasm.hpp"
 #include "arch/encode.hpp"
@@ -41,23 +45,60 @@ std::uint64_t with_low32(std::uint64_t slot, std::uint32_t low) {
   return (slot & 0xFFFFFFFF00000000ull) | low;
 }
 
+std::size_t page_size() {
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// Bytes of the guest-accessible part of a GuestMemory mapping.
+std::size_t page_rounded(std::uint64_t size) {
+  const std::size_t page = page_size();
+  return static_cast<std::size_t>((size + page - 1) / page * page);
+}
+
+std::uint64_t memory_size_of(
+    const std::shared_ptr<const ExecutableImage>& exec) {
+  FPMIX_CHECK(exec != nullptr);
+  return exec->image().memory_size;
+}
+
 }  // namespace
+
+GuestMemory::GuestMemory(std::uint64_t size) : size_(size) {
+  const std::size_t page = page_size();
+  if (size > SIZE_MAX - 3 * page) throw std::bad_alloc();
+  const std::size_t body = page_rounded(size);
+  // Reserve guard + body + guard inaccessible, then open only the body.
+  void* p = ::mmap(nullptr, body + 2 * page, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  auto* base = static_cast<std::uint8_t*>(p) + page;
+  if (body != 0 && ::mprotect(base, body, PROT_READ | PROT_WRITE) != 0) {
+    ::munmap(p, body + 2 * page);
+    throw std::bad_alloc();
+  }
+  data_ = base;
+}
+
+GuestMemory::~GuestMemory() {
+  const std::size_t page = page_size();
+  ::munmap(data_ - page, page_rounded(size_) + 2 * page);
+}
 
 Machine::Machine(const program::Image& image, Options options)
     : Machine(ExecutableImage::build(image), options) {}
 
 Machine::Machine(std::shared_ptr<const ExecutableImage> exec, Options options)
-    : exec_(std::move(exec)), options_(options) {
-  FPMIX_CHECK(exec_ != nullptr);
+    : exec_(std::move(exec)),
+      options_(options),
+      memory_(memory_size_of(exec_)) {
   const program::Image& image = exec_->image();
-  memory_.assign(image.memory_size, 0);
   if (!image.data.empty()) {
-    FPMIX_CHECK(image.data_base + image.data.size() <= memory_.size());
+    FPMIX_CHECK(memory_.contains(image.data_base, image.data.size()));
     std::memcpy(memory_.data() + image.data_base, image.data.data(),
                 image.data.size());
   }
-  mem_base_ = memory_.data();
-  mem_size_ = memory_.size();
   if (options_.profile) counts_.assign(exec_->code().size(), 0);
   if (options_.mpi != nullptr) {
     FPMIX_CHECK(options_.rank >= 0 && options_.rank < options_.mpi->size());
@@ -89,21 +130,21 @@ std::uint64_t Machine::effective_address(const arch::MemRef& m) const {
 }
 
 std::uint64_t Machine::load(std::uint64_t addr, unsigned bytes) const {
-  if (addr + bytes > mem_size_ || addr + bytes < addr) {
+  if (!memory_.contains(addr, bytes)) {
     trap(strformat("memory read of %u bytes at 0x%llx out of bounds", bytes,
                    static_cast<unsigned long long>(addr)));
   }
   std::uint64_t v = 0;
-  std::memcpy(&v, mem_base_ + addr, bytes);
+  std::memcpy(&v, memory_.data() + addr, bytes);
   return v;
 }
 
 void Machine::store(std::uint64_t addr, std::uint64_t value, unsigned bytes) {
-  if (addr + bytes > mem_size_ || addr + bytes < addr) {
+  if (!memory_.contains(addr, bytes)) {
     trap(strformat("memory write of %u bytes at 0x%llx out of bounds", bytes,
                    static_cast<unsigned long long>(addr)));
   }
-  std::memcpy(mem_base_ + addr, &value, bytes);
+  std::memcpy(memory_.data() + addr, &value, bytes);
 }
 
 std::uint64_t Machine::int_value(const Operand& op) const {
@@ -288,12 +329,12 @@ void Machine::apply_state_fault(const fault::VmFaultSpec& spec) {
     // Silent data corruption: flip one bit of one 64-bit FP slot -- an xmm
     // lane, or an aligned slot of data memory.
     const std::uint64_t bit = 1ull << rng.next_below(64);
-    if (mem_size_ >= 8 && rng.next_below(2) == 0) {
-      const std::uint64_t slot = 8 * rng.next_below(mem_size_ / 8);
+    if (memory_.size() >= 8 && rng.next_below(2) == 0) {
+      const std::uint64_t slot = 8 * rng.next_below(memory_.size() / 8);
       std::uint64_t v = 0;
-      std::memcpy(&v, mem_base_ + slot, 8);
+      std::memcpy(&v, memory_.data() + slot, 8);
       v ^= bit;
-      std::memcpy(mem_base_ + slot, &v, 8);
+      std::memcpy(memory_.data() + slot, &v, 8);
     } else {
       Xmm& x = xmm_[rng.next_below(arch::kNumXmms)];
       (rng.next_below(2) == 0 ? x.lo : x.hi) ^= bit;
@@ -778,7 +819,7 @@ void Machine::exec_intrinsic(const Instr& ins) {
     case in::Id::kPrintStr: {
       const std::uint64_t addr = gpr_[1];
       const std::uint64_t len = gpr_[2];
-      if (addr + len > memory_.size()) trap("print_str out of bounds");
+      if (!memory_.contains(addr, len)) trap("print_str out of bounds");
       std::fwrite(memory_.data() + addr, 1, len, stdout);
       break;
     }
@@ -813,7 +854,7 @@ void Machine::exec_intrinsic(const Instr& ins) {
       const std::uint64_t addr = gpr_[1];
       const std::uint64_t count = gpr_[2];
       if (addr % 8 != 0) trap("mpi_allreduce_vec: unaligned buffer");
-      if (addr + count * 8 > memory_.size()) {
+      if (count > memory_.size() / 8 || !memory_.contains(addr, count * 8)) {
         trap("mpi_allreduce_vec out of bounds");
       }
       auto* data = reinterpret_cast<double*>(memory_.data() + addr);
@@ -835,18 +876,15 @@ void Machine::exec_intrinsic(const Instr& ins) {
 
 std::vector<std::uint8_t> Machine::read_memory(std::uint64_t addr,
                                                std::size_t size) const {
-  if (addr + size > memory_.size() || addr + size < addr) {
+  if (!memory_.contains(addr, size)) {
     throw VmError("read_memory out of bounds");
   }
-  return std::vector<std::uint8_t>(memory_.begin() +
-                                       static_cast<std::ptrdiff_t>(addr),
-                                   memory_.begin() +
-                                       static_cast<std::ptrdiff_t>(addr +
-                                                                   size));
+  const std::uint8_t* begin = memory_.data() + addr;
+  return std::vector<std::uint8_t>(begin, begin + size);
 }
 
 std::uint64_t Machine::read_memory_u64(std::uint64_t addr) const {
-  if (addr + 8 > memory_.size()) throw VmError("read_memory out of bounds");
+  if (!memory_.contains(addr, 8)) throw VmError("read_memory out of bounds");
   std::uint64_t v = 0;
   std::memcpy(&v, memory_.data() + addr, 8);
   return v;
@@ -1974,8 +2012,8 @@ struct JitExec {
     rs.m = &m;
     jit::JitContext ctx{};
     ctx.gpr = m.gpr_;
-    ctx.mem_base = m.mem_base_;
-    ctx.mem_size = m.mem_size_;
+    ctx.mem_base = m.memory_.data();
+    ctx.mem_size = m.memory_.size();
     ctx.xmm = m.xmm_;
     ctx.retired = m.retired_;
     ctx.max_instructions = m.options_.max_instructions;
@@ -2003,8 +2041,8 @@ struct JitExec {
     // otherwise bypass the timed wrapper).
     ctx.intrin_fn =
         m.options_.time_jit_helpers ? nullptr : intrin_fn_table();
-    ctx.mem_limit8 = m.mem_size_ >= 8 ? m.mem_size_ - 7 : 0;
-    ctx.mem_limit4 = m.mem_size_ >= 4 ? m.mem_size_ - 3 : 0;
+    ctx.mem_limit8 = ctx.mem_size >= 8 ? ctx.mem_size - 7 : 0;
+    ctx.mem_limit4 = ctx.mem_size >= 4 ? ctx.mem_size - 3 : 0;
     ctx.run_state = &rs;
     ctx.image = img.get();
 

@@ -62,6 +62,34 @@ struct RunResult {
   bool ok() const { return status == Status::kHalted; }
 };
 
+/// Guest memory of one Machine: a private anonymous mapping that the
+/// kernel zero-fills lazily on first touch, so a run pays only for the
+/// pages it writes. One PROT_NONE guard page sits on each side, so a host
+/// access that strays past either end faults instead of reading or
+/// corrupting neighbouring heap. Throws std::bad_alloc when the kernel
+/// refuses the mapping (e.g. under RLIMIT_AS); verify::evaluate_config
+/// reports that as a resource failure.
+class GuestMemory {
+ public:
+  explicit GuestMemory(std::uint64_t size);
+  ~GuestMemory();
+  GuestMemory(const GuestMemory&) = delete;
+  GuestMemory& operator=(const GuestMemory&) = delete;
+
+  std::uint8_t* data() const { return data_; }
+  std::uint64_t size() const { return size_; }
+
+  /// True when [addr, addr + len) lies inside guest memory. Overflow-safe
+  /// for any guest-controlled addr and len.
+  bool contains(std::uint64_t addr, std::uint64_t len) const {
+    return len <= size_ && addr <= size_ - len;
+  }
+
+ private:
+  std::uint8_t* data_ = nullptr;
+  std::uint64_t size_ = 0;
+};
+
 class Machine {
  public:
   struct Options {
@@ -231,12 +259,7 @@ class Machine {
   std::shared_ptr<const ExecutableImage> exec_;
   Options options_;
 
-  std::vector<std::uint8_t> memory_;
-  /// Raw view of memory_, cached at construction (memory_ never resizes):
-  /// load/store bounds checks read one field instead of the vector's
-  /// begin/end pair.
-  std::uint8_t* mem_base_ = nullptr;
-  std::uint64_t mem_size_ = 0;
+  GuestMemory memory_;
   /// One extra slot past the architectural registers: kZeroRegSlot, always
   /// zero, targeted by micro-op address recipes whose base/index register
   /// is absent (makes effective-address computation branch-free).

@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "asm/assembler.hpp"
 #include "config/config.hpp"
@@ -9,6 +14,16 @@
 #include "verify/evaluate.hpp"
 #include "support/error.hpp"
 #include "verify/verifier.hpp"
+
+// AddressSanitizer and ThreadSanitizer reserve terabytes of shadow address
+// space, so an RLIMIT_AS cap cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FPMIX_TEST_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FPMIX_TEST_SHADOW_SANITIZER 1
+#endif
+#endif
 
 namespace fpmix::verify {
 namespace {
@@ -117,6 +132,65 @@ TEST(Evaluate, ReferenceOutputsThrowOnBrokenProgram) {
   a.end_function();
   const program::Image img = program::relayout(a.finish("main"));
   EXPECT_THROW(reference_outputs(img), fpmix::Error);
+}
+
+/// Current virtual address-space size of this process, in bytes (0 when
+/// /proc is unavailable).
+std::uint64_t address_space_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long pages = 0;
+  const int n = std::fscanf(f, "%llu", &pages);
+  std::fclose(f);
+  if (n != 1) return 0;
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Evaluate, RefusedGuestMappingIsResourceFailure) {
+#if FPMIX_TEST_SHADOW_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS is not applicable under a shadow-memory "
+                  "sanitizer";
+#else
+  if (address_space_bytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  a.emit(Opcode::kMov, Operand::gpr(1), Operand::make_imm(42));
+  a.intrin(in::Id::kOutputI64);
+  a.halt();
+  a.end_function();
+  const program::Image img = program::relayout(a.finish("main"));
+  ASSERT_EQ(img.memory_size, program::Image::kDefaultMemorySize);
+  const auto ix = config::StructureIndex::build(program::lift(img));
+  RelativeErrorVerifier verifier({}, 1.0);
+
+  // The child caps its address space a few MiB above what it already uses:
+  // room for the trial's heap work, none for the 16 MiB guest mapping.
+  // Exit codes: 0 = kResource, 1 = uncapped warm-up failed, 2 = setrlimit
+  // refused, 10 + class = any other outcome.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (!evaluate_config(img, ix, config::PrecisionConfig{}, verifier)
+             .passed) {
+      ::_exit(1);
+    }
+    const rlim_t cap = address_space_bytes() + (4u << 20);
+    const rlimit as{cap, cap};
+    if (::setrlimit(RLIMIT_AS, &as) != 0) ::_exit(2);
+    const EvalResult r =
+        evaluate_config(img, ix, config::PrecisionConfig{}, verifier);
+    ::_exit(r.failure_class == FailureClass::kResource
+                ? 0
+                : 10 + static_cast<int>(r.failure_class));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, raw status " << status;
+  const int code = WEXITSTATUS(status);
+  EXPECT_EQ(code, 0) << (code >= 10 ? failure_class_name(
+                                          static_cast<FailureClass>(code - 10))
+                                    : "");
+#endif
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include <limits>
 #include <thread>
 
+#include <unistd.h>
+
 #include "arch/encode.hpp"
 #include "arch/tag.hpp"
 #include "asm/assembler.hpp"
@@ -283,6 +285,46 @@ TEST(EngineDiff, OutOfBoundsTrapsIdentical) {
     a.end_function();
     expect_engines_identical(program::relayout(a.finish("main")), {},
                              is_store ? "oob store" : "oob load");
+  }
+
+  // Buffer intrinsics whose guest-controlled address + length wraps past
+  // 2^64: each must trap with the intrinsic's bounds message, not halt or
+  // touch host memory outside the guest buffer.
+  constexpr std::int64_t kMem = program::Image::kDefaultMemorySize;
+  struct IntrinCase {
+    in::Id id;
+    std::int64_t r1, r2;
+    const char* message;
+  };
+  const IntrinCase cases[] = {
+      {in::Id::kPrintStr, 2, -1, "print_str out of bounds"},
+      {in::Id::kPrintStr, -16, 32, "print_str out of bounds"},
+      {in::Id::kMpiAllreduceVec, 0, 1ll << 61,
+       "mpi_allreduce_vec out of bounds"},
+      {in::Id::kMpiAllreduceVec, 8, -1, "mpi_allreduce_vec out of bounds"},
+      {in::Id::kMpiAllreduceVec, kMem - 8, 2,
+       "mpi_allreduce_vec out of bounds"},
+  };
+  for (const IntrinCase& c : cases) {
+    casm::Assembler a;
+    a.begin_function("main", "main");
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::make_imm(c.r1));
+    a.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(c.r2));
+    a.intrin(c.id);
+    a.halt();
+    a.end_function();
+    const program::Image img = program::relayout(a.finish("main"));
+    ASSERT_EQ(img.memory_size, static_cast<std::uint64_t>(kMem));
+    const std::string what = strformat("%s r1=%lld r2=%lld",
+                                       in::intrin_name(c.id),
+                                       static_cast<long long>(c.r1),
+                                       static_cast<long long>(c.r2));
+    expect_engines_identical(img, {}, what.c_str());
+    const EngineOut o =
+        run_engine(vm::ExecutableImage::build(img), vm::Engine::kSwitch, {});
+    EXPECT_EQ(o.result.status, vm::RunResult::Status::kTrapped) << what;
+    EXPECT_EQ(o.result.trap_message.rfind(c.message, 0), 0u)
+        << what << ": " << o.result.trap_message;
   }
 }
 
@@ -579,6 +621,95 @@ TEST(EngineDiff, BudgetBoundarySweepOnFuzzedProgram) {
     expect_engines_identical(img, opts,
                              ("budget " + std::to_string(budget)).c_str());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Guest memory: zero on first read, bounded exactly at memory_size, and
+// private to each Machine.
+
+constexpr std::uint64_t kGuestMem = program::Image::kDefaultMemorySize;
+
+Operand guest_abs(std::uint64_t addr) {
+  return Operand::mem_abs(static_cast<std::int32_t>(addr));
+}
+
+TEST(GuestMemory, UntouchedHighMemoryReadsZero) {
+  // The top slot holds run()'s null return frame; the rest was never
+  // written, and the last two sit on pages nothing touched.
+  const std::uint64_t addrs[] = {kGuestMem - 8, kGuestMem - 16,
+                                 kGuestMem - 8192, kGuestMem / 2};
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  for (const std::uint64_t addr : addrs) {
+    a.emit(Opcode::kLoad, Operand::gpr(1), guest_abs(addr));
+    a.intrin(in::Id::kOutputI64);
+  }
+  a.halt();
+  a.end_function();
+  const program::Image img = program::relayout(a.finish("main"));
+  ASSERT_EQ(img.memory_size, kGuestMem);
+  expect_engines_identical(img, {}, "untouched high memory");
+  const EngineOut o =
+      run_engine(vm::ExecutableImage::build(img), vm::Engine::kSwitch, {});
+  EXPECT_TRUE(o.result.ok()) << o.result.trap_message;
+  EXPECT_EQ(o.i64, std::vector<std::int64_t>(std::size(addrs), 0));
+}
+
+TEST(GuestMemory, LastSlotWritableAndNextTraps) {
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  a.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(0x1234));
+  a.emit(Opcode::kStore, guest_abs(kGuestMem - 8), Operand::gpr(2));
+  a.emit(Opcode::kLoad, Operand::gpr(1), guest_abs(kGuestMem - 8));
+  a.intrin(in::Id::kOutputI64);
+  a.emit(Opcode::kStore, guest_abs(kGuestMem), Operand::gpr(2));
+  a.halt();
+  a.end_function();
+  const program::Image img = program::relayout(a.finish("main"));
+  ASSERT_EQ(img.memory_size, kGuestMem);
+  expect_engines_identical(img, {}, "store at the top of memory");
+  const EngineOut o =
+      run_engine(vm::ExecutableImage::build(img), vm::Engine::kSwitch, {});
+  EXPECT_EQ(o.i64, std::vector<std::int64_t>{0x1234});
+  EXPECT_EQ(o.result.status, vm::RunResult::Status::kTrapped);
+  EXPECT_EQ(o.result.trap_message.rfind(
+                "memory write of 8 bytes at 0x1000000 out of bounds", 0),
+            0u)
+      << o.result.trap_message;
+}
+
+TEST(GuestMemory, FreshMachineDoesNotSeePreviousWrites) {
+  // Reads a slot, then dirties it. Every Machine -- including the next one
+  // built on this thread, which may reuse the same host pages -- must read
+  // the slot as zero.
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  a.emit(Opcode::kLoad, Operand::gpr(1), guest_abs(kGuestMem / 2));
+  a.intrin(in::Id::kOutputI64);
+  a.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(-1));
+  a.emit(Opcode::kStore, guest_abs(kGuestMem / 2), Operand::gpr(2));
+  a.halt();
+  a.end_function();
+  const auto exec =
+      vm::ExecutableImage::build(program::relayout(a.finish("main")));
+  for (const vm::Engine engine :
+       {vm::Engine::kSwitch, vm::Engine::kMicroOp, vm::Engine::kJit}) {
+    for (int round = 0; round < 2; ++round) {
+      const EngineOut o = run_engine(exec, engine, {});
+      EXPECT_TRUE(o.result.ok()) << o.result.trap_message;
+      EXPECT_EQ(o.i64, std::vector<std::int64_t>{0}) << "round " << round;
+    }
+  }
+}
+
+TEST(GuestMemory, GuardPagesFaultOnHostOverrun) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  vm::GuestMemory mem(page);
+  volatile std::uint8_t* bytes = mem.data();
+  bytes[0] = 1;
+  bytes[page - 1] = 1;
+  EXPECT_DEATH(bytes[-1] = 1, "");
+  EXPECT_DEATH(bytes[page] = 1, "");
 }
 
 // ---------------------------------------------------------------------------
