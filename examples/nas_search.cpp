@@ -81,6 +81,7 @@
 #include "kernels/workload.hpp"
 #include "net/socket.hpp"
 #include "program/program.hpp"
+#include "search/metrics_json.hpp"
 #include "search/search.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -88,185 +89,9 @@
 #include "support/log.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
-#include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
 
 using namespace fpmix;
-
-namespace {
-
-void json_escape(const std::string& s, std::string* out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += strformat("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-/// Dumps the full SearchMetrics (plus the run verdict) as one JSON object.
-bool write_metrics_json(const std::string& path,
-                        const search::SearchResult& res) {
-  const search::SearchMetrics& m = res.metrics;
-  std::string j = "{\n";
-  const auto num = [&j](const char* k, double v, bool comma = true) {
-    j += strformat("  \"%s\": %.6f%s\n", k, v, comma ? "," : "");
-  };
-  const auto uint = [&j](const char* k, std::size_t v) {
-    j += strformat("  \"%s\": %zu,\n", k, v);
-  };
-  const auto boolean = [&j](const char* k, bool v) {
-    j += strformat("  \"%s\": %s,\n", k, v ? "true" : "false");
-  };
-  const auto census = [&j](const char* k,
-                           const std::map<std::string, std::size_t>& counts) {
-    j += strformat("  \"%s\": {", k);
-    bool first = true;
-    for (const auto& [name, n] : counts) {
-      std::string esc;
-      json_escape(name, &esc);
-      j += strformat("%s\"%s\": %zu", first ? "" : ", ", esc.c_str(), n);
-      first = false;
-    }
-    j += "},\n";
-  };
-  uint("trials_total", m.trials_total);
-  uint("trials_live", m.trials_live);
-  uint("trials_cached", m.trials_cached);
-  num("cache_hit_rate", m.cache_hit_rate);
-  num("wall_seconds", m.wall_seconds);
-  num("eval_seconds", m.eval_seconds);
-  num("trials_per_sec", m.trials_per_sec);
-  num("patch_seconds", m.patch_seconds);
-  num("predecode_seconds", m.predecode_seconds);
-  num("run_seconds", m.run_seconds);
-  num("verify_seconds", m.verify_seconds);
-  uint("image_cache_hits", m.image_cache_hits);
-  uint("image_cache_misses", m.image_cache_misses);
-  num("patch_saved_seconds", m.patch_saved_seconds);
-  num("predecode_saved_seconds", m.predecode_saved_seconds);
-  uint("funcs_reused", m.funcs_reused);
-  uint("funcs_patched", m.funcs_patched);
-  census("failures_by_class", m.failures_by_class);
-  uint("retries", m.retries);
-  uint("quarantined", m.quarantined);
-  boolean("profile_degraded", m.profile_degraded);
-  uint("jit_downgraded", m.jit_downgraded);
-  uint("isolated_trials", m.isolated_trials);
-  uint("worker_crashes", m.worker_crashes);
-  uint("worker_respawns", m.worker_respawns);
-  uint("worker_timeouts", m.worker_timeouts);
-  uint("protocol_errors", m.protocol_errors);
-  uint("crash_quarantined", m.crash_quarantined);
-  census("crashes_by_signal", m.crashes_by_signal);
-  boolean("crash_storm", m.crash_storm);
-  boolean("isolation_degraded", m.isolation_degraded);
-  uint("delta_requests", m.delta_requests);
-  uint("full_requests", m.full_requests);
-  uint("delta_bytes", m.delta_bytes);
-  uint("full_bytes", m.full_bytes);
-  uint("remote_trials", m.remote_trials);
-  uint("shard_cache_hits", m.shard_cache_hits);
-  uint("endpoint_failovers", m.endpoint_failovers);
-  uint("endpoint_reconnects", m.endpoint_reconnects);
-  uint("endpoint_disconnects", m.endpoint_disconnects);
-  uint("endpoints_lost", m.endpoints_lost);
-  uint("remote_unserved", m.remote_unserved);
-  boolean("remote_degraded", m.remote_degraded);
-  uint("missed_beats", m.missed_beats);
-  uint("lease_expiries", m.lease_expiries);
-  uint("late_results", m.late_results);
-  uint("redispatched", m.redispatched);
-  uint("breaker_trips", m.breaker_trips);
-  j += strformat("  \"adopted_records\": %llu,\n",
-                 static_cast<unsigned long long>(m.adopted_records));
-  uint("gossip_rounds", m.gossip_rounds);
-  uint("records_repaired", m.records_repaired);
-  uint("shards_reloaded", m.shards_reloaded);
-  uint("disk_faults", m.disk_faults);
-  uint("state_degraded", m.state_degraded);
-  j += "  \"endpoints\": [";
-  for (std::size_t i = 0; i < m.endpoints_used.size(); ++i) {
-    const search::EndpointMetrics& e = m.endpoints_used[i];
-    std::string esc;
-    json_escape(e.address, &esc);
-    j += strformat(
-        "%s{\"address\": \"%s\", \"workers\": %u, \"trials\": %zu, "
-        "\"cache_hits\": %zu, \"failovers\": %zu, \"reconnects\": %zu, "
-        "\"disconnects\": %zu, \"busy_seconds\": %.6f, \"lost\": %s, "
-        "\"jit_downgraded\": %s, \"pings\": %zu, \"pongs\": %zu, "
-        "\"missed_beats\": %zu, \"lease_expiries\": %zu, "
-        "\"late_results\": %zu, \"redispatched\": %zu, "
-        "\"breaker_trips\": %zu, \"rtt_p50_us\": %llu, "
-        "\"rtt_p95_us\": %llu, \"rtt_max_us\": %llu, "
-        "\"journal_records\": %llu, \"gossip_rounds\": %zu, "
-        "\"records_repaired\": %zu, \"shards_reloaded\": %llu, "
-        "\"disk_faults\": %llu, \"state_degraded\": %s}",
-        i == 0 ? "" : ", ", esc.c_str(), e.workers, e.trials, e.cache_hits,
-        e.failovers, e.reconnects, e.disconnects,
-        1e-9 * static_cast<double>(e.busy_ns), e.lost ? "true" : "false",
-        e.jit_downgraded ? "true" : "false", e.pings, e.pongs,
-        e.missed_beats, e.lease_expiries, e.late_results, e.redispatched,
-        e.breaker_trips, static_cast<unsigned long long>(e.rtt_p50_us),
-        static_cast<unsigned long long>(e.rtt_p95_us),
-        static_cast<unsigned long long>(e.rtt_max_us),
-        static_cast<unsigned long long>(e.journal_records),
-        e.gossip_rounds, e.records_repaired,
-        static_cast<unsigned long long>(e.shards_reloaded),
-        static_cast<unsigned long long>(e.disk_faults),
-        e.state_degraded ? "true" : "false");
-  }
-  j += "],\n";
-  j += "  \"workers\": [";
-  for (std::size_t i = 0; i < m.worker_slots.size(); ++i) {
-    const search::WorkerSlotMetrics& s = m.worker_slots[i];
-    j += strformat(
-        "%s{\"slot\": %zu, \"requests\": %zu, \"respawns\": %zu, "
-        "\"crashes\": %zu, \"timeouts\": %zu, \"quarantines\": %zu}",
-        i == 0 ? "" : ", ", i, s.requests, s.respawns, s.crashes, s.timeouts,
-        s.quarantines);
-  }
-  j += "],\n";
-  // Process-wide JIT lowering census (static uop counts across every
-  // compile_stream call this run, including delta re-JITs): how many uops
-  // lowered to inline native code vs the generic-exec fallback vs an
-  // out-of-line helper call, per op family.
-  {
-    const vm::jit::LoweringStats lw = vm::jit::lowering_totals();
-    j += "  \"jit_lowering\": {";
-    bool first = true;
-    for (int f = 0; f < vm::jit::LoweringStats::kNumFamilies; ++f) {
-      j += strformat(
-          "%s\"%s\": {\"native\": %llu, \"generic\": %llu, "
-          "\"helper\": %llu}",
-          first ? "" : ", ", vm::jit::lowering_family_name(f),
-          static_cast<unsigned long long>(lw.native[f]),
-          static_cast<unsigned long long>(lw.generic[f]),
-          static_cast<unsigned long long>(lw.helper[f]));
-      first = false;
-    }
-    j += strformat(
-        ", \"fused_pairs\": %llu, \"reg_alloc_blocks\": %llu, "
-        "\"reg_alloc_slots\": %llu},\n",
-        static_cast<unsigned long long>(lw.fused_pairs),
-        static_cast<unsigned long long>(lw.reg_alloc_blocks),
-        static_cast<unsigned long long>(lw.reg_alloc_slots));
-  }
-  uint("configs_tested", res.configs_tested);
-  boolean("refined", res.refined);
-  j += strformat("  \"final_passed\": %s\n}\n",
-                 res.final_passed ? "true" : "false");
-  std::ofstream f(path);
-  if (!f) return false;
-  f << j;
-  return f.good();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // The benchmark is positional and optional; the class letter may follow
@@ -561,7 +386,9 @@ int main(int argc, char** argv) {
     std::printf("\n%s", text.c_str());
   }
   if (!metrics_path.empty()) {
-    if (!write_metrics_json(metrics_path, res)) {
+    std::ofstream f(metrics_path);
+    f << search::metrics_json(res);
+    if (!f.good()) {
       std::fprintf(stderr, "cannot write metrics JSON to %s\n",
                    metrics_path.c_str());
       return 3;

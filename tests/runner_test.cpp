@@ -34,6 +34,7 @@
 #include "search/search.hpp"
 #include "support/fault.hpp"
 #include "support/journal.hpp"
+#include "support/strings.hpp"
 #include "verify/evaluate.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -124,6 +125,28 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.funcs_total = 9;
   const runner::WireResult w = runner::from_eval_result(er);
   runner::WireResult wback;
+  // Golden payload bytes: the Result frame body is a protocol contract
+  // between drivers, workers and daemons of one kProtocolVersion.
+  std::string hex;
+  for (unsigned char c : runner::encode_result(w)) {
+    hex += strformat("%02x", c);
+  }
+  EXPECT_EQ(hex,
+            "00"  // passed
+            "02"  // failure_class
+            "01"  // run_status
+            "18000000"  // failure length
+            "73656e74696e656c20657363617065642061742030783430"  // failure text
+            "3930000000000000"  // instructions_retired
+            "0100000000000000"  // patch_ns
+            "0200000000000000"  // predecode_ns
+            "0300000000000000"  // run_ns
+            "0400000000000000"  // verify_ns
+            "01"  // image_cache_hit
+            "6f00000000000000"  // patch_saved_ns
+            "de00000000000000"  // predecode_saved_ns
+            "05000000"  // funcs_reused
+            "09000000");  // funcs_total
   ASSERT_TRUE(runner::decode_result(runner::encode_result(w), &wback));
   verify::EvalResult er2;
   ASSERT_TRUE(runner::to_eval_result(wback, &er2));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <functional>
 #include <map>
 
@@ -13,6 +14,7 @@
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "search/metrics_json.hpp"
 #include "search/search.hpp"
 #include "verify/evaluate.hpp"
 
@@ -328,6 +330,273 @@ TEST(Search, SettledOutcomeEndsTheTrialOutsideTheVote) {
   EXPECT_EQ(res.metrics.quarantined, 0u);
   EXPECT_EQ(res.metrics.failures_by_class.at("crash"), live);
   EXPECT_EQ(exec.attempts_by_index.count(2), 0u);
+}
+
+/// Flattens a JSON document into "path:type" entries in document order
+/// ("endpoints[].address:string", "jit_lowering.fused_pairs:int"). A
+/// number with a fraction or exponent is "float", any other is "int".
+class JsonShape {
+ public:
+  explicit JsonShape(const std::string& text) : s_(text) {}
+
+  std::vector<std::string> entries() {
+    value("");
+    skip_ws();
+    EXPECT_EQ(pos_, s_.size()) << "trailing bytes after the document";
+    return out_;
+  }
+
+ private:
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  std::string string() {
+    EXPECT_TRUE(eat('"'));
+    std::string v;
+    while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (s_[pos_] == '\\') ++pos_;
+      v += s_[pos_++];
+    }
+    ++pos_;
+    return v;
+  }
+  void note(const std::string& path, const char* type) {
+    if (!path.empty()) out_.push_back(path + ":" + type);
+  }
+  void value(const std::string& path) {
+    skip_ws();
+    if (pos_ >= s_.size()) {
+      ADD_FAILURE() << "truncated document at " << path;
+      return;
+    }
+    const char c = s_[pos_];
+    if (c == '{') {
+      ++pos_;
+      note(path, "object");
+      if (eat('}')) return;
+      do {
+        const std::string key = string();
+        EXPECT_TRUE(eat(':')) << path << "." << key;
+        value(path.empty() ? key : path + "." + key);
+      } while (eat(','));
+      EXPECT_TRUE(eat('}')) << path;
+    } else if (c == '[') {
+      ++pos_;
+      note(path, "array");
+      if (eat(']')) return;
+      // Every element must have the first one's shape; record it once.
+      const std::size_t mark = out_.size();
+      value(path + "[]");
+      const std::vector<std::string> first(out_.begin() + mark, out_.end());
+      while (eat(',')) {
+        value(path + "[]");
+        EXPECT_EQ(std::vector<std::string>(
+                      out_.end() - static_cast<std::ptrdiff_t>(first.size()),
+                      out_.end()),
+                  first);
+        out_.resize(out_.size() - first.size());
+      }
+      EXPECT_TRUE(eat(']')) << path;
+    } else if (c == '"') {
+      string();
+      note(path, "string");
+    } else if (s_.compare(pos_, 4, "true") == 0) {
+      pos_ += 4;
+      note(path, "bool");
+    } else if (s_.compare(pos_, 5, "false") == 0) {
+      pos_ += 5;
+      note(path, "bool");
+    } else {
+      const std::size_t start = pos_;
+      while (pos_ < s_.size() &&
+             std::string_view("+-0123456789.eE").find(s_[pos_]) !=
+                 std::string_view::npos) {
+        ++pos_;
+      }
+      const std::string tok = s_.substr(start, pos_ - start);
+      EXPECT_FALSE(tok.empty()) << "unexpected byte at " << path;
+      note(path, tok.find_first_of(".eE") == std::string::npos ? "int"
+                                                                 : "float");
+    }
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+  std::vector<std::string> out_;
+};
+
+TEST(MetricsJson, KeySetAndValueTypesArePinned) {
+  // CI scripts and dashboards parse nas_search --metrics-json by key; this
+  // pins every key (top level, endpoints[], workers[], jit_lowering) and
+  // the JSON type of its value.
+  SearchResult res;
+  res.metrics.failures_by_class["divergence"] = 2;
+  res.metrics.crashes_by_signal["SIGSEGV"] = 1;
+  res.metrics.endpoints_used.emplace_back();
+  res.metrics.endpoints_used[0].address = "127.0.0.1:7000";
+  res.metrics.worker_slots.emplace_back();
+
+  const std::vector<std::string> golden = {
+      "trials_total:int",
+      "trials_live:int",
+      "trials_cached:int",
+      "cache_hit_rate:float",
+      "wall_seconds:float",
+      "eval_seconds:float",
+      "trials_per_sec:float",
+      "patch_seconds:float",
+      "predecode_seconds:float",
+      "run_seconds:float",
+      "verify_seconds:float",
+      "image_cache_hits:int",
+      "image_cache_misses:int",
+      "patch_saved_seconds:float",
+      "predecode_saved_seconds:float",
+      "funcs_reused:int",
+      "funcs_patched:int",
+      "failures_by_class:object",
+      "failures_by_class.divergence:int",
+      "retries:int",
+      "quarantined:int",
+      "profile_degraded:bool",
+      "jit_downgraded:int",
+      "isolated_trials:int",
+      "worker_crashes:int",
+      "worker_respawns:int",
+      "worker_timeouts:int",
+      "protocol_errors:int",
+      "crash_quarantined:int",
+      "crashes_by_signal:object",
+      "crashes_by_signal.SIGSEGV:int",
+      "crash_storm:bool",
+      "isolation_degraded:bool",
+      "delta_requests:int",
+      "full_requests:int",
+      "delta_bytes:int",
+      "full_bytes:int",
+      "remote_trials:int",
+      "shard_cache_hits:int",
+      "endpoint_failovers:int",
+      "endpoint_reconnects:int",
+      "endpoint_disconnects:int",
+      "endpoints_lost:int",
+      "remote_unserved:int",
+      "remote_degraded:bool",
+      "missed_beats:int",
+      "lease_expiries:int",
+      "late_results:int",
+      "redispatched:int",
+      "breaker_trips:int",
+      "adopted_records:int",
+      "gossip_rounds:int",
+      "records_repaired:int",
+      "shards_reloaded:int",
+      "disk_faults:int",
+      "state_degraded:int",
+      "endpoints:array",
+      "endpoints[]:object",
+      "endpoints[].address:string",
+      "endpoints[].workers:int",
+      "endpoints[].trials:int",
+      "endpoints[].cache_hits:int",
+      "endpoints[].failovers:int",
+      "endpoints[].reconnects:int",
+      "endpoints[].disconnects:int",
+      "endpoints[].busy_seconds:float",
+      "endpoints[].lost:bool",
+      "endpoints[].jit_downgraded:bool",
+      "endpoints[].pings:int",
+      "endpoints[].pongs:int",
+      "endpoints[].missed_beats:int",
+      "endpoints[].lease_expiries:int",
+      "endpoints[].late_results:int",
+      "endpoints[].redispatched:int",
+      "endpoints[].breaker_trips:int",
+      "endpoints[].rtt_p50_us:int",
+      "endpoints[].rtt_p95_us:int",
+      "endpoints[].rtt_max_us:int",
+      "endpoints[].journal_records:int",
+      "endpoints[].gossip_rounds:int",
+      "endpoints[].records_repaired:int",
+      "endpoints[].shards_reloaded:int",
+      "endpoints[].disk_faults:int",
+      "endpoints[].state_degraded:bool",
+      "workers:array",
+      "workers[]:object",
+      "workers[].slot:int",
+      "workers[].requests:int",
+      "workers[].respawns:int",
+      "workers[].crashes:int",
+      "workers[].timeouts:int",
+      "workers[].quarantines:int",
+      "jit_lowering:object",
+      "jit_lowering.int:object",
+      "jit_lowering.int.native:int",
+      "jit_lowering.int.generic:int",
+      "jit_lowering.int.helper:int",
+      "jit_lowering.mem:object",
+      "jit_lowering.mem.native:int",
+      "jit_lowering.mem.generic:int",
+      "jit_lowering.mem.helper:int",
+      "jit_lowering.branch:object",
+      "jit_lowering.branch.native:int",
+      "jit_lowering.branch.generic:int",
+      "jit_lowering.branch.helper:int",
+      "jit_lowering.call/ret:object",
+      "jit_lowering.call/ret.native:int",
+      "jit_lowering.call/ret.generic:int",
+      "jit_lowering.call/ret.helper:int",
+      "jit_lowering.f64:object",
+      "jit_lowering.f64.native:int",
+      "jit_lowering.f64.generic:int",
+      "jit_lowering.f64.helper:int",
+      "jit_lowering.f32:object",
+      "jit_lowering.f32.native:int",
+      "jit_lowering.f32.generic:int",
+      "jit_lowering.f32.helper:int",
+      "jit_lowering.packed:object",
+      "jit_lowering.packed.native:int",
+      "jit_lowering.packed.generic:int",
+      "jit_lowering.packed.helper:int",
+      "jit_lowering.bitwise:object",
+      "jit_lowering.bitwise.native:int",
+      "jit_lowering.bitwise.generic:int",
+      "jit_lowering.bitwise.helper:int",
+      "jit_lowering.convert:object",
+      "jit_lowering.convert.native:int",
+      "jit_lowering.convert.generic:int",
+      "jit_lowering.convert.helper:int",
+      "jit_lowering.divrem:object",
+      "jit_lowering.divrem.native:int",
+      "jit_lowering.divrem.generic:int",
+      "jit_lowering.divrem.helper:int",
+      "jit_lowering.intrin:object",
+      "jit_lowering.intrin.native:int",
+      "jit_lowering.intrin.generic:int",
+      "jit_lowering.intrin.helper:int",
+      "jit_lowering.other:object",
+      "jit_lowering.other.native:int",
+      "jit_lowering.other.generic:int",
+      "jit_lowering.other.helper:int",
+      "jit_lowering.fused_pairs:int",
+      "jit_lowering.reg_alloc_blocks:int",
+      "jit_lowering.reg_alloc_slots:int",
+      "configs_tested:int",
+      "refined:bool",
+      "final_passed:bool",
+  };
+  EXPECT_EQ(JsonShape(metrics_json(res)).entries(), golden);
 }
 
 }  // namespace
