@@ -70,8 +70,9 @@
 // Exit codes: 0 search completed and the composition verified; 1 search
 // completed but the final composition fails verification; 2 usage error
 // (unknown flag, a flag missing its value, a bad value, an unknown
-// benchmark or class); 3 internal failure (worker crash storm or
-// internal-error trials).
+// benchmark or class); 3 internal failure (worker crash storm,
+// internal-error trials, or an --out / --metrics-json file that cannot be
+// written).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -250,17 +251,24 @@ int main(int argc, char** argv) {
   for (const auto& [level, secs] : m.eval_seconds_per_level) {
     std::printf("  level %-12s %.2fs\n", level.c_str(), secs);
   }
+  const verify::TrialCost& c = m.cost;
+  const auto secs = [](std::uint64_t ns) {
+    return 1e-9 * static_cast<double>(ns);
+  };
+  const auto llu = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
   std::printf("  stages: patch %.2fs, predecode %.2fs, run %.2fs, "
               "verify %.2fs\n",
-              m.patch_seconds, m.predecode_seconds, m.run_seconds,
-              m.verify_seconds);
-  if (m.image_cache_hits + m.image_cache_misses > 0) {
-    std::printf("incremental: %zu image hit(s) / %zu miss(es), %zu func "
-                "segment(s) reused / %zu patched, ~%.3fs patch + %.3fs "
+              secs(c.patch_ns), secs(c.predecode_ns), secs(c.run_ns),
+              secs(c.verify_ns));
+  if (c.image_hits + c.image_misses > 0) {
+    std::printf("incremental: %llu image hit(s) / %llu miss(es), %llu func "
+                "segment(s) reused / %llu patched, ~%.3fs patch + %.3fs "
                 "predecode saved\n",
-                m.image_cache_hits, m.image_cache_misses, m.funcs_reused,
-                m.funcs_patched, m.patch_saved_seconds,
-                m.predecode_saved_seconds);
+                llu(c.image_hits), llu(c.image_misses), llu(c.funcs_reused),
+                llu(c.funcs_patched), secs(c.patch_saved_ns),
+                secs(c.predecode_saved_ns));
   }
   if (!m.failures_by_class.empty()) {
     std::printf("failed trials by class:\n");
@@ -276,35 +284,37 @@ int main(int argc, char** argv) {
     std::printf("note: profiling run failed; search used unweighted "
                 "structure-order prioritisation\n");
   }
+  const runner::PoolStats& p = m.pool;
   if (opts.isolate_trials) {
-    std::printf("isolation: %zu worker trial(s), %zu crash(es), "
-                "%zu respawn(s), %zu timeout kill(s), %zu protocol "
-                "error(s), %zu config(s) quarantined by the breaker\n",
-                m.isolated_trials, m.worker_crashes, m.worker_respawns,
-                m.worker_timeouts, m.protocol_errors, m.crash_quarantined);
-    if (m.delta_requests + m.full_requests > 0) {
-      std::printf("wire: %zu delta frame(s) (%zu B) + %zu full frame(s) "
-                  "(%zu B)\n",
-                  m.delta_requests, m.delta_bytes, m.full_requests,
-                  m.full_bytes);
+    std::printf("isolation: %llu worker trial(s), %llu crash(es), "
+                "%llu respawn(s), %llu timeout kill(s), %llu protocol "
+                "error(s), %llu config(s) quarantined by the breaker\n",
+                llu(p.isolated_trials), llu(p.worker_crashes),
+                llu(p.workers_respawned), llu(p.timeouts_killed),
+                llu(p.protocol_errors), llu(p.quarantined_configs));
+    if (p.delta_requests + p.full_requests > 0) {
+      std::printf("wire: %llu delta frame(s) (%llu B) + %llu full frame(s) "
+                  "(%llu B)\n",
+                  llu(p.delta_requests), llu(p.delta_bytes),
+                  llu(p.full_requests), llu(p.full_bytes));
     }
-    for (std::size_t i = 0; i < m.worker_slots.size(); ++i) {
-      const search::WorkerSlotMetrics& s = m.worker_slots[i];
-      std::printf("  worker %zu: %zu request(s), %zu respawn(s), "
-                  "%zu crash(es), %zu timeout(s), %zu quarantine(s)\n",
-                  i, s.requests, s.respawns, s.crashes, s.timeouts,
-                  s.quarantines);
+    for (std::size_t i = 0; i < p.slots.size(); ++i) {
+      const runner::SlotStats& s = p.slots[i];
+      std::printf("  worker %zu: %llu request(s), %llu respawn(s), "
+                  "%llu crash(es), %llu timeout(s), %llu quarantine(s)\n",
+                  i, llu(s.requests), llu(s.respawns), llu(s.crashes),
+                  llu(s.timeouts), llu(s.quarantines));
     }
-    if (!m.crashes_by_signal.empty()) {
+    if (!p.crashes_by_signal.empty()) {
       std::printf("worker crash census:\n");
-      for (const auto& [sig, count] : m.crashes_by_signal) {
-        std::printf("  %-12s %zu\n", sig.c_str(), count);
+      for (const auto& [sig, count] : p.crashes_by_signal) {
+        std::printf("  %-12s %llu\n", sig.c_str(), llu(count));
       }
     }
     if (m.isolation_degraded) {
       std::printf("note: isolation unavailable; trials ran in-process\n");
     }
-    if (m.crash_storm) {
+    if (p.crash_storm) {
       std::printf("ERROR: worker crash storm; search results incomplete\n");
     }
   }
@@ -381,6 +391,11 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::ofstream f(out_path);
     f << text;
+    if (!f.good()) {
+      std::fprintf(stderr, "cannot write configuration to %s\n",
+                   out_path.c_str());
+      return 3;
+    }
     std::printf("configuration written to %s\n", out_path.c_str());
   } else {
     std::printf("\n%s", text.c_str());
@@ -400,7 +415,7 @@ int main(int argc, char** argv) {
   // mixed precision" (1, a clean scientific result) from "the harness
   // itself broke" (3).
   const auto internal_it = m.failures_by_class.find("internal-error");
-  if (m.crash_storm ||
+  if (p.crash_storm ||
       (internal_it != m.failures_by_class.end() && internal_it->second > 0)) {
     return 3;
   }

@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
   server.serve(&g_stop);
 
   const net::ServerStats& st = server.stats();
+  const net::ShardStoreStats& store = server.store_stats();
   std::printf("runner_serve: done -- %llu session(s) (%llu rejected, "
               "%llu reaped), %llu trial(s) served (%llu shard-cache "
               "hit(s)), %llu cache insert(s), %llu protocol error(s), "
@@ -216,10 +217,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.pings));
   std::printf("runner_serve: state -- %llu shard(s) reloaded (%llu "
               "record(s), %llu discarded), %llu disk fault(s)%s\n",
-              static_cast<unsigned long long>(st.shards_reloaded),
-              static_cast<unsigned long long>(st.records_reloaded),
-              static_cast<unsigned long long>(st.records_discarded),
-              static_cast<unsigned long long>(st.disk_faults),
-              st.state_degraded != 0 ? ", DEGRADED to in-memory" : "");
+              static_cast<unsigned long long>(store.shards_reloaded),
+              static_cast<unsigned long long>(store.records_reloaded),
+              static_cast<unsigned long long>(store.records_discarded),
+              static_cast<unsigned long long>(store.disk_faults),
+              store.degraded ? ", DEGRADED to in-memory" : "");
   return 0;
 }

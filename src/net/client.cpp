@@ -59,7 +59,7 @@ std::unique_ptr<EndpointClient> EndpointClient::connect(
     std::string payload;
     const FrameStatus st = c->fb_.next(&payload);
     if (st == FrameStatus::kOk) {
-      HelloAckMsg ack;
+      HelloAckMsg& ack = c->ack_;
       if (peek_msg_type(payload) != kMsgHelloAck ||
           !decode_hello_ack(payload, &ack)) {
         // A full daemon answers the connect with an error frame instead of
@@ -85,13 +85,6 @@ std::unique_ptr<EndpointClient> EndpointClient::connect(
         }
         return nullptr;
       }
-      c->workers_ = ack.workers;
-      c->engine_ = ack.engine;
-      c->verifier_fp_ = ack.verifier_fp;
-      c->shard_records_ = ack.shard_records;
-      c->state_degraded_ = ack.state_degraded != 0;
-      c->shards_reloaded_ = ack.shards_reloaded;
-      c->disk_faults_ = ack.disk_faults;
       return c;
     }
     if (st == FrameStatus::kCorrupt) {

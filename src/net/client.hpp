@@ -86,24 +86,10 @@ class EndpointClient {
   bool alive() const { return !dead_; }
   int fd() const { return sock_.fd(); }
   const Endpoint& endpoint() const { return ep_; }
-  /// Pool width behind the endpoint (from the HelloAck).
-  std::uint32_t workers() const { return workers_; }
-  /// Server-side verifier fingerprint (the scheduler cross-checks it
-  /// against the local one before trusting any verdict).
-  const std::string& verifier_fp() const { return verifier_fp_; }
-  /// vm::Engine the endpoint actually runs (from the HelloAck; may lawfully
-  /// be micro-op when jit was requested of a jit-incapable host).
-  std::uint8_t engine() const { return engine_; }
-  /// Journal records the endpoint already retained for this search
-  /// fingerprint at handshake time (v3 HelloAck) -- fleet journal coverage.
-  std::uint64_t shard_records() const { return shard_records_; }
-  /// Endpoint durability health at handshake time (v4 HelloAck): true when
-  /// its shard store degraded to in-memory operation.
-  bool state_degraded() const { return state_degraded_; }
-  /// State files the endpoint restored at its last startup (v4 HelloAck).
-  std::uint64_t shards_reloaded() const { return shards_reloaded_; }
-  /// Storage failures (injected or real) the endpoint has absorbed.
-  std::uint64_t disk_faults() const { return disk_faults_; }
+  /// The accepted handshake answer: pool width, verifier fingerprint and
+  /// engine the scheduler cross-checks, retained shard size, durability
+  /// health (see HelloAckMsg).
+  const HelloAckMsg& ack() const { return ack_; }
   /// Most recent session error text (handshake rejection, transport
   /// damage), for diagnostics.
   const std::string& last_error() const { return last_error_; }
@@ -120,13 +106,7 @@ class EndpointClient {
   Socket sock_;
   Endpoint ep_;
   FrameBuffer fb_;
-  std::uint32_t workers_ = 0;
-  std::uint8_t engine_ = 0;
-  std::uint64_t shard_records_ = 0;
-  bool state_degraded_ = false;
-  std::uint64_t shards_reloaded_ = 0;
-  std::uint64_t disk_faults_ = 0;
-  std::string verifier_fp_;
+  HelloAckMsg ack_;
   std::string last_error_;
   std::vector<PongMsg> pongs_;
   std::vector<ShardDigestMsg> digests_;

@@ -24,7 +24,7 @@
 //   server -> client
 //     kMsgHelloAck       accept (worker count, verifier fingerprint to
 //                        cross-check, retained shard size) or reject
-//     kMsgResult         one trial verdict: ticket, flags, encoded WireResult
+//     kMsgResult         one trial verdict: ticket, flags, encoded EvalResult
 //     kMsgJournalTail    fetch response: a chunk of retained journal lines
 //                        in sequence order, done flag on the last chunk
 //     kMsgPong           heartbeat echo (nonce + timestamp bounced back)

@@ -143,15 +143,6 @@ struct RunnerServer::Impl {
   std::uint64_t shard_touch_clock = 1;
   bool exit_tripped = false;
 
-  void mirror_store_stats() {
-    const ShardStoreStats& s = store->stats();
-    stats->shards_reloaded = s.shards_reloaded;
-    stats->records_reloaded = s.records_reloaded;
-    stats->records_discarded = s.records_discarded;
-    stats->disk_faults = s.disk_faults;
-    stats->state_degraded = s.degraded ? 1 : 0;
-  }
-
   /// Restores persisted shards into memory, enforcing the same retention
   /// caps a live stream would have hit.
   void reload_state() {
@@ -178,7 +169,6 @@ struct RunnerServer::Impl {
       store->remove_journal(victim->first);
       journal_shards.erase(victim);
     }
-    mirror_store_stats();
   }
 
   /// The retained shard for `search_fp`, creating it (and evicting the
@@ -369,14 +359,15 @@ struct RunnerServer::Impl {
       auto hit = cache.find(m.key);
       if (hit != cache.end()) {
         ++stats->shard_cache_hits;
-        runner::WireResult w;
-        w.passed = hit->second.passed;
-        w.failure_class = hit->second.failure_class;
-        w.failure = hit->second.failure;
+        verify::EvalResult er;
+        er.passed = hit->second.passed;
+        er.failure_class =
+            static_cast<verify::FailureClass>(hit->second.failure_class);
+        er.failure = hit->second.failure;
         ResultMsg r;
         r.ticket = m.ticket;
         r.flags = kResultCacheHit;
-        r.wire_result = runner::encode_result(w);
+        r.wire_result = runner::encode_result(er);
         send_result(s, r);
         return;
       }
@@ -422,7 +413,6 @@ struct RunnerServer::Impl {
     v.failure_class = failure_class;
     v.failure = failure;
     store->append_verdict(search_fp, v);
-    mirror_store_stats();
   }
 
   /// Retains one streamed journal record. Damage (bad seal, unparseable
@@ -449,7 +439,6 @@ struct RunnerServer::Impl {
     if (evicted > 0) {
       store->note_evicted(s->search_fp, evicted, shard->by_seq);
     }
-    mirror_store_stats();
   }
 
   /// Answers a gossip digest request over the session's retained shard.
@@ -604,8 +593,7 @@ struct RunnerServer::Impl {
         if (f.outcome.quarantined) r.flags |= kResultQuarantined;
         r.worker_deaths = f.outcome.worker_deaths;
         r.wall_ns = f.outcome.wall_ns;
-        r.wire_result =
-            runner::encode_result(runner::from_eval_result(f.outcome.result));
+        r.wire_result = runner::encode_result(f.outcome.result);
         send_result(sit->second.get(), r);
       }
     }
@@ -631,6 +619,10 @@ RunnerServer::RunnerServer(Listener listener, WorkloadFactory factory,
 RunnerServer::~RunnerServer() = default;
 
 std::uint16_t RunnerServer::port() const { return impl_->listener.port(); }
+
+const ShardStoreStats& RunnerServer::store_stats() const {
+  return impl_->store->stats();
+}
 
 void RunnerServer::serve(const std::atomic<bool>* stop) {
 #if !FPMIX_NET_POSIX
@@ -769,7 +761,6 @@ void RunnerServer::serve(const std::atomic<bool>* stop) {
   im.listener.close();
   for (auto& [id, s] : im.sessions) s->sock.close();
   im.sessions.clear();
-  im.mirror_store_stats();
 #endif
 }
 

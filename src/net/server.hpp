@@ -28,6 +28,7 @@
 #include <string>
 
 #include "config/structure.hpp"
+#include "net/shard_store.hpp"
 #include "net/socket.hpp"
 #include "program/image.hpp"
 #include "support/fault.hpp"
@@ -99,13 +100,6 @@ struct ServerStats {
   std::uint64_t digests = 0;             // shard-digest requests answered
   std::uint64_t protocol_errors = 0;     // corrupt frames / bad messages
   std::uint64_t backends = 0;            // distinct evaluation contexts
-  // Durable-state counters, mirrored from the shard store (zero when no
-  // state dir is configured).
-  std::uint64_t shards_reloaded = 0;     // state files restored at startup
-  std::uint64_t records_reloaded = 0;    // intact lines restored at startup
-  std::uint64_t records_discarded = 0;   // damaged lines dropped at reload
-  std::uint64_t disk_faults = 0;         // injected + real storage failures
-  std::uint64_t state_degraded = 0;      // 1 when persistence fell back to RAM
 };
 
 /// The daemon. Construct with a bound listener (port 0 for kernel-assigned,
@@ -126,6 +120,9 @@ class RunnerServer {
   void serve(const std::atomic<bool>* stop);
 
   const ServerStats& stats() const { return stats_; }
+  /// The durable state store's counters (all zero when no state dir is
+  /// configured).
+  const ShardStoreStats& store_stats() const;
 
  private:
   struct Impl;

@@ -256,7 +256,7 @@ bool read_some(int fd, std::string* buf) {
                                        *ctx.verifier, eopts);
     }
 
-    std::string frame = encode_frame(encode_result(from_eval_result(result)));
+    std::string frame = encode_frame(encode_result(result));
     if (faults.hard == fault::HardFault::kTruncResult) {
       frame.resize(frame.size() / 2);  // deliver half a frame, then die
       write_all(resp_fd, frame);

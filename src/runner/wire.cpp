@@ -129,86 +129,56 @@ bool decode_request(std::string_view payload, TrialRequest* out) {
   return out->opcode == kReqFull || out->opcode == kReqDelta;
 }
 
-std::string encode_result(const WireResult& res) {
+std::string encode_result(const verify::EvalResult& r) {
+  const verify::TrialCost& c = r.cost;
   std::string out;
-  put_u8(&out, res.passed ? 1 : 0);
-  put_u8(&out, res.failure_class);
-  put_u8(&out, res.run_status);
-  put_string(&out, res.failure);
-  put_u64(&out, res.instructions_retired);
-  put_u64(&out, res.patch_ns);
-  put_u64(&out, res.predecode_ns);
-  put_u64(&out, res.run_ns);
-  put_u64(&out, res.verify_ns);
-  put_u8(&out, res.image_cache_hit);
-  put_u64(&out, res.patch_saved_ns);
-  put_u64(&out, res.predecode_saved_ns);
-  put_u32(&out, res.funcs_reused);
-  put_u32(&out, res.funcs_total);
+  put_u8(&out, r.passed ? 1 : 0);
+  put_u8(&out, static_cast<std::uint8_t>(r.failure_class));
+  put_u8(&out, static_cast<std::uint8_t>(r.run_status));
+  put_string(&out, r.failure);
+  put_u64(&out, r.instructions_retired);
+  put_u64(&out, c.patch_ns);
+  put_u64(&out, c.predecode_ns);
+  put_u64(&out, c.run_ns);
+  put_u64(&out, c.verify_ns);
+  put_u8(&out, c.image_hits > 0 ? 1 : 0);
+  put_u64(&out, c.patch_saved_ns);
+  put_u64(&out, c.predecode_saved_ns);
+  put_u32(&out, static_cast<std::uint32_t>(c.funcs_reused));
+  put_u32(&out, static_cast<std::uint32_t>(c.funcs_reused + c.funcs_patched));
   return out;
 }
 
-bool decode_result(std::string_view payload, WireResult* out) {
+bool decode_result(std::string_view payload, verify::EvalResult* out) {
   WireReader r(payload);
+  *out = verify::EvalResult{};
+  verify::TrialCost& c = out->cost;
   out->passed = r.u8() != 0;
-  out->failure_class = r.u8();
-  out->run_status = r.u8();
+  const std::uint8_t failure_class = r.u8();
+  const std::uint8_t run_status = r.u8();
   out->failure = r.str();
   out->instructions_retired = r.u64();
-  out->patch_ns = r.u64();
-  out->predecode_ns = r.u64();
-  out->run_ns = r.u64();
-  out->verify_ns = r.u64();
-  out->image_cache_hit = r.u8();
-  out->patch_saved_ns = r.u64();
-  out->predecode_saved_ns = r.u64();
-  out->funcs_reused = r.u32();
-  out->funcs_total = r.u32();
-  return r.done();
-}
-
-bool to_eval_result(const WireResult& w, verify::EvalResult* out) {
-  if (w.failure_class >
+  c.patch_ns = r.u64();
+  c.predecode_ns = r.u64();
+  c.run_ns = r.u64();
+  c.verify_ns = r.u64();
+  const bool image_hit = r.u8() != 0;
+  c.patch_saved_ns = r.u64();
+  c.predecode_saved_ns = r.u64();
+  const std::uint32_t funcs_reused = r.u32();
+  const std::uint32_t funcs_total = r.u32();
+  if (!r.done() ||
+      failure_class >
           static_cast<std::uint8_t>(verify::FailureClass::kResource) ||
-      w.run_status > static_cast<std::uint8_t>(
-                         vm::RunResult::Status::kDeadline)) {
+      run_status >
+          static_cast<std::uint8_t>(vm::RunResult::Status::kDeadline) ||
+      funcs_reused > funcs_total) {
     return false;
   }
-  *out = verify::EvalResult{};
-  out->passed = w.passed;
-  out->failure_class = static_cast<verify::FailureClass>(w.failure_class);
-  out->run_status = static_cast<vm::RunResult::Status>(w.run_status);
-  out->failure = w.failure;
-  out->instructions_retired = w.instructions_retired;
-  out->patch_ns = w.patch_ns;
-  out->predecode_ns = w.predecode_ns;
-  out->run_ns = w.run_ns;
-  out->verify_ns = w.verify_ns;
-  out->image_cache_hit = w.image_cache_hit != 0;
-  out->patch_saved_ns = w.patch_saved_ns;
-  out->predecode_saved_ns = w.predecode_saved_ns;
-  out->funcs_reused = w.funcs_reused;
-  out->funcs_total = w.funcs_total;
+  out->failure_class = static_cast<verify::FailureClass>(failure_class);
+  out->run_status = static_cast<vm::RunResult::Status>(run_status);
+  c.add_build(image_hit, funcs_reused, funcs_total);
   return true;
-}
-
-WireResult from_eval_result(const verify::EvalResult& r) {
-  WireResult w;
-  w.passed = r.passed;
-  w.failure_class = static_cast<std::uint8_t>(r.failure_class);
-  w.run_status = static_cast<std::uint8_t>(r.run_status);
-  w.failure = r.failure;
-  w.instructions_retired = r.instructions_retired;
-  w.patch_ns = r.patch_ns;
-  w.predecode_ns = r.predecode_ns;
-  w.run_ns = r.run_ns;
-  w.verify_ns = r.verify_ns;
-  w.image_cache_hit = r.image_cache_hit ? 1 : 0;
-  w.patch_saved_ns = r.patch_saved_ns;
-  w.predecode_saved_ns = r.predecode_saved_ns;
-  w.funcs_reused = r.funcs_reused;
-  w.funcs_total = r.funcs_total;
-  return w;
 }
 
 }  // namespace fpmix::runner

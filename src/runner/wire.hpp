@@ -94,33 +94,13 @@ bool decode_request(std::string_view payload, TrialRequest* out);
 
 // ---- Trial result (worker -> driver) --------------------------------------
 
-/// The slice of verify::EvalResult the search driver consumes. Outputs stay
-/// in the worker: the verifier already judged them there.
-struct WireResult {
-  bool passed = false;
-  std::uint8_t failure_class = 0;  // verify::FailureClass
-  std::uint8_t run_status = 0;     // vm::RunResult::Status
-  std::string failure;
-  std::uint64_t instructions_retired = 0;
-  std::uint64_t patch_ns = 0;
-  std::uint64_t predecode_ns = 0;
-  std::uint64_t run_ns = 0;
-  std::uint64_t verify_ns = 0;
-  // Incremental-pipeline accounting (mirrors verify::EvalResult).
-  std::uint8_t image_cache_hit = 0;
-  std::uint64_t patch_saved_ns = 0;
-  std::uint64_t predecode_saved_ns = 0;
-  std::uint32_t funcs_reused = 0;
-  std::uint32_t funcs_total = 0;
-};
-
-std::string encode_result(const WireResult& r);
-bool decode_result(std::string_view payload, WireResult* out);
-
-/// WireResult -> EvalResult, validating the enum fields (a corrupt-but-CRC-
-/// passing value cannot smuggle an out-of-range class into the search).
-bool to_eval_result(const WireResult& w, verify::EvalResult* out);
-/// EvalResult -> WireResult.
-WireResult from_eval_result(const verify::EvalResult& r);
+/// Encodes everything of `r` the search driver consumes; outputs stay in
+/// the worker (the verifier already judged them there) and the cost's
+/// cache traffic travels as one image-hit flag plus the function total.
+std::string encode_result(const verify::EvalResult& r);
+/// Decodes an encode_result payload. False on a short or overlong payload
+/// and on out-of-range fields, so a corrupt-but-CRC-passing value cannot
+/// smuggle an unknown failure class or run status into the search.
+bool decode_result(std::string_view payload, verify::EvalResult* out);
 
 }  // namespace fpmix::runner

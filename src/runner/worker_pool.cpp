@@ -172,9 +172,8 @@ void WorkerPool::process_ready(Slot* sp) {
   const FrameStatus st = s.worker.read_result(&payload, &eof);
   const std::uint64_t ticket = s.ticket;
   if (st == FrameStatus::kOk) {
-    WireResult w;
     verify::EvalResult er;
-    if (!decode_result(payload, &w) || !to_eval_result(w, &er)) {
+    if (!decode_result(payload, &er)) {
       ++stats_.protocol_errors;
       kill_and_reap(&s);
       note_death();

@@ -9,22 +9,26 @@ namespace fpmix::search {
 std::string metrics_json(const SearchResult& res) {
   const SearchMetrics& m = res.metrics;
   std::string j = "{\n";
-  const auto num = [&j](const char* k, double v, bool comma = true) {
-    j += strformat("  \"%s\": %.6f%s\n", k, v, comma ? "," : "");
+  const auto num = [&j](const char* k, double v) {
+    j += strformat("  \"%s\": %.6f,\n", k, v);
   };
-  const auto uint = [&j](const char* k, std::size_t v) {
-    j += strformat("  \"%s\": %zu,\n", k, v);
+  const auto secs = [&num](const char* k, std::uint64_t ns) {
+    num(k, 1e-9 * static_cast<double>(ns));
+  };
+  const auto uint = [&j](const char* k, std::uint64_t v) {
+    j += strformat("  \"%s\": %llu,\n", k,
+                   static_cast<unsigned long long>(v));
   };
   const auto boolean = [&j](const char* k, bool v) {
     j += strformat("  \"%s\": %s,\n", k, v ? "true" : "false");
   };
-  const auto census = [&j](const char* k,
-                           const std::map<std::string, std::size_t>& counts) {
+  const auto census = [&j](const char* k, const auto& counts) {
     j += strformat("  \"%s\": {", k);
     bool first = true;
     for (const auto& [name, n] : counts) {
-      j += strformat("%s\"%s\": %zu", first ? "" : ", ",
-                     json_escape(name).c_str(), n);
+      j += strformat("%s\"%s\": %llu", first ? "" : ", ",
+                     json_escape(name).c_str(),
+                     static_cast<unsigned long long>(n));
       first = false;
     }
     j += "},\n";
@@ -36,34 +40,36 @@ std::string metrics_json(const SearchResult& res) {
   num("wall_seconds", m.wall_seconds);
   num("eval_seconds", m.eval_seconds);
   num("trials_per_sec", m.trials_per_sec);
-  num("patch_seconds", m.patch_seconds);
-  num("predecode_seconds", m.predecode_seconds);
-  num("run_seconds", m.run_seconds);
-  num("verify_seconds", m.verify_seconds);
-  uint("image_cache_hits", m.image_cache_hits);
-  uint("image_cache_misses", m.image_cache_misses);
-  num("patch_saved_seconds", m.patch_saved_seconds);
-  num("predecode_saved_seconds", m.predecode_saved_seconds);
-  uint("funcs_reused", m.funcs_reused);
-  uint("funcs_patched", m.funcs_patched);
+  const verify::TrialCost& c = m.cost;
+  secs("patch_seconds", c.patch_ns);
+  secs("predecode_seconds", c.predecode_ns);
+  secs("run_seconds", c.run_ns);
+  secs("verify_seconds", c.verify_ns);
+  uint("image_cache_hits", c.image_hits);
+  uint("image_cache_misses", c.image_misses);
+  secs("patch_saved_seconds", c.patch_saved_ns);
+  secs("predecode_saved_seconds", c.predecode_saved_ns);
+  uint("funcs_reused", c.funcs_reused);
+  uint("funcs_patched", c.funcs_patched);
   census("failures_by_class", m.failures_by_class);
   uint("retries", m.retries);
   uint("quarantined", m.quarantined);
   boolean("profile_degraded", m.profile_degraded);
   uint("jit_downgraded", m.jit_downgraded);
-  uint("isolated_trials", m.isolated_trials);
-  uint("worker_crashes", m.worker_crashes);
-  uint("worker_respawns", m.worker_respawns);
-  uint("worker_timeouts", m.worker_timeouts);
-  uint("protocol_errors", m.protocol_errors);
-  uint("crash_quarantined", m.crash_quarantined);
-  census("crashes_by_signal", m.crashes_by_signal);
-  boolean("crash_storm", m.crash_storm);
+  const runner::PoolStats& p = m.pool;
+  uint("isolated_trials", p.isolated_trials);
+  uint("worker_crashes", p.worker_crashes);
+  uint("worker_respawns", p.workers_respawned);
+  uint("worker_timeouts", p.timeouts_killed);
+  uint("protocol_errors", p.protocol_errors);
+  uint("crash_quarantined", p.quarantined_configs);
+  census("crashes_by_signal", p.crashes_by_signal);
+  boolean("crash_storm", p.crash_storm);
   boolean("isolation_degraded", m.isolation_degraded);
-  uint("delta_requests", m.delta_requests);
-  uint("full_requests", m.full_requests);
-  uint("delta_bytes", m.delta_bytes);
-  uint("full_bytes", m.full_bytes);
+  uint("delta_requests", p.delta_requests);
+  uint("full_requests", p.full_requests);
+  uint("delta_bytes", p.delta_bytes);
+  uint("full_bytes", p.full_bytes);
   uint("remote_trials", m.remote_trials);
   uint("shard_cache_hits", m.shard_cache_hits);
   uint("endpoint_failovers", m.endpoint_failovers);
@@ -77,8 +83,7 @@ std::string metrics_json(const SearchResult& res) {
   uint("late_results", m.late_results);
   uint("redispatched", m.redispatched);
   uint("breaker_trips", m.breaker_trips);
-  j += strformat("  \"adopted_records\": %llu,\n",
-                 static_cast<unsigned long long>(m.adopted_records));
+  uint("adopted_records", m.adopted_records);
   uint("gossip_rounds", m.gossip_rounds);
   uint("records_repaired", m.records_repaired);
   uint("shards_reloaded", m.shards_reloaded);
@@ -115,13 +120,16 @@ std::string metrics_json(const SearchResult& res) {
   }
   j += "],\n";
   j += "  \"workers\": [";
-  for (std::size_t i = 0; i < m.worker_slots.size(); ++i) {
-    const WorkerSlotMetrics& s = m.worker_slots[i];
+  for (std::size_t i = 0; i < p.slots.size(); ++i) {
+    const runner::SlotStats& s = p.slots[i];
     j += strformat(
-        "%s{\"slot\": %zu, \"requests\": %zu, \"respawns\": %zu, "
-        "\"crashes\": %zu, \"timeouts\": %zu, \"quarantines\": %zu}",
-        i == 0 ? "" : ", ", i, s.requests, s.respawns, s.crashes, s.timeouts,
-        s.quarantines);
+        "%s{\"slot\": %zu, \"requests\": %llu, \"respawns\": %llu, "
+        "\"crashes\": %llu, \"timeouts\": %llu, \"quarantines\": %llu}",
+        i == 0 ? "" : ", ", i, static_cast<unsigned long long>(s.requests),
+        static_cast<unsigned long long>(s.respawns),
+        static_cast<unsigned long long>(s.crashes),
+        static_cast<unsigned long long>(s.timeouts),
+        static_cast<unsigned long long>(s.quarantines));
   }
   j += "],\n";
   // Process-wide JIT lowering census (static uop counts across every

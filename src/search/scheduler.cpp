@@ -70,29 +70,29 @@ bool Scheduler::try_connect(Shard* s) {
     note_failure(s);
     return false;
   }
-  if (!opts_.verifier_fp.empty() &&
-      client->verifier_fp() != opts_.verifier_fp) {
+  const net::HelloAckMsg& ack = client->ack();
+  if (!opts_.verifier_fp.empty() && ack.verifier_fp != opts_.verifier_fp) {
     // The endpoint evaluates a different reference computation; its
     // verdicts would be garbage. Never retry.
     log::warnf("scheduler: endpoint %s verifier fingerprint mismatch "
                "(local %s, remote %s); endpoint dropped",
                s->m.address.c_str(), opts_.verifier_fp.c_str(),
-               client->verifier_fp().c_str());
+               ack.verifier_fp.c_str());
     s->lost = true;
     s->m.lost = true;
     return false;
   }
-  if (client->engine() != opts_.hello.engine) {
+  if (ack.engine != opts_.hello.engine) {
     // Engines are bit-identical, so only one mismatch is sanctioned: jit
     // requested of a host that cannot run it answers micro-op. Anything
     // else is a protocol violation; never trust the endpoint.
     const bool sanctioned_downgrade =
         opts_.hello.engine == static_cast<std::uint8_t>(vm::Engine::kJit) &&
-        client->engine() == static_cast<std::uint8_t>(vm::Engine::kMicroOp);
+        ack.engine == static_cast<std::uint8_t>(vm::Engine::kMicroOp);
     if (!sanctioned_downgrade) {
       log::warnf("scheduler: endpoint %s answered engine %u to a request "
                  "for engine %u; endpoint dropped",
-                 s->m.address.c_str(), static_cast<unsigned>(client->engine()),
+                 s->m.address.c_str(), static_cast<unsigned>(ack.engine),
                  static_cast<unsigned>(opts_.hello.engine));
       s->lost = true;
       s->m.lost = true;
@@ -109,11 +109,11 @@ bool Scheduler::try_connect(Shard* s) {
   s->ever_connected = true;
   s->consecutive_failures = 0;
   s->backoff.reset();
-  s->m.workers = client->workers();
-  s->m.journal_records = client->shard_records();
-  s->m.state_degraded = client->state_degraded();
-  s->m.shards_reloaded = client->shards_reloaded();
-  s->m.disk_faults = client->disk_faults();
+  s->m.workers = ack.workers;
+  s->m.journal_records = ack.shard_records;
+  s->m.state_degraded = ack.state_degraded != 0;
+  s->m.shards_reloaded = ack.shards_reloaded;
+  s->m.disk_faults = ack.disk_faults;
   if (s->m.state_degraded) {
     log::warnf("scheduler: endpoint %s reports degraded state persistence "
                "(in-memory shards only)",
@@ -407,10 +407,8 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
           ++s.m.late_results;
           continue;
         }
-        runner::WireResult w;
         verify::EvalResult er;
-        if (!runner::decode_result(r.wire_result, &w) ||
-            !runner::to_eval_result(w, &er)) {
+        if (!runner::decode_result(r.wire_result, &er)) {
           // The frame CRC passed but the payload is semantically bad:
           // treat it like transport damage and reroute the trial.
           state[i].in_flight = false;

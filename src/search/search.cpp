@@ -29,6 +29,12 @@ using config::StructureIndex;
 
 namespace {
 
+/// Structures with at least this many candidates are binary-split instead
+/// of expanded child-by-child.
+constexpr std::size_t kMinSplitSize = 4;
+/// Trials between progress lines (SearchOptions::progress_log).
+constexpr std::size_t kProgressEvery = 16;
+
 /// A unit of the configuration space: one structure (or partition) whose
 /// candidates are flipped to single precision while the rest of the program
 /// stays double.
@@ -240,28 +246,7 @@ class Searcher {
         metrics_.wall_seconds > 0.0
             ? static_cast<double>(tested_) / metrics_.wall_seconds
             : 0.0;
-    if (pool_ != nullptr) {
-      const runner::PoolStats& ps = pool_->stats();
-      metrics_.isolated_trials = ps.isolated_trials;
-      metrics_.worker_crashes = ps.worker_crashes;
-      metrics_.worker_respawns = ps.workers_respawned;
-      metrics_.worker_timeouts = ps.timeouts_killed;
-      metrics_.protocol_errors = ps.protocol_errors;
-      metrics_.crash_quarantined = ps.quarantined_configs;
-      metrics_.crash_storm = ps.crash_storm;
-      for (const auto& [sig, n] : ps.crashes_by_signal) {
-        metrics_.crashes_by_signal[sig] = n;
-      }
-      metrics_.delta_requests = ps.delta_requests;
-      metrics_.full_requests = ps.full_requests;
-      metrics_.delta_bytes = ps.delta_bytes;
-      metrics_.full_bytes = ps.full_bytes;
-      for (const runner::SlotStats& ss : ps.slots) {
-        metrics_.worker_slots.push_back(WorkerSlotMetrics{
-            ss.requests, ss.respawns, ss.crashes, ss.timeouts,
-            ss.quarantines});
-      }
-    }
+    if (pool_ != nullptr) metrics_.pool = pool_->stats();
     if (sched_ != nullptr) {
       metrics_.endpoints_used = sched_->endpoint_metrics();
       for (const EndpointMetrics& em : metrics_.endpoints_used) {
@@ -381,45 +366,9 @@ class Searcher {
     std::uint64_t eval_ns = 0;
     std::uint32_t attempts = 1;  // evaluations spent (retry policy)
     bool mixed_votes = false;    // attempts disagreed -> quarantine
-
-    // Stage/cache accounting summed over *every* attempt via note_attempt
-    // (t->result only keeps the last one); commit_trial folds these into
-    // the metrics.
-    std::uint64_t patch_ns = 0;
-    std::uint64_t predecode_ns = 0;
-    std::uint64_t run_ns = 0;
-    std::uint64_t verify_ns = 0;
-    std::uint64_t patch_saved_ns = 0;
-    std::uint64_t predecode_saved_ns = 0;
-    std::size_t funcs_reused = 0;
-    std::size_t funcs_patched = 0;
-    std::size_t image_hits = 0;
-    std::size_t image_misses = 0;
+    /// Summed over every attempt (t->result keeps only the last one).
+    verify::TrialCost cost;
   };
-
-  /// Folds one evaluation attempt's stage costs and incremental-pipeline
-  /// accounting into the trial's accumulators (the vote loop calls it per
-  /// delivered outcome, whichever executor produced it).
-  static void note_attempt(Trial* t) {
-    const verify::EvalResult& r = t->result;
-    t->patch_ns += r.patch_ns;
-    t->predecode_ns += r.predecode_ns;
-    t->run_ns += r.run_ns;
-    t->verify_ns += r.verify_ns;
-    t->patch_saved_ns += r.patch_saved_ns;
-    t->predecode_saved_ns += r.predecode_saved_ns;
-    // funcs_total == 0 means the attempt never reached a TrialBuilder
-    // (legacy path, synthetic breaker/storm verdicts): no cache traffic.
-    if (r.funcs_total > 0) {
-      if (r.image_cache_hit) {
-        ++t->image_hits;
-      } else {
-        ++t->image_misses;
-      }
-      t->funcs_reused += r.funcs_reused;
-      t->funcs_patched += r.funcs_total - r.funcs_reused;
-    }
-  }
 
   /// Settles the vote: majority verdict, ties failing (a config that
   /// cannot be trusted to pass must not enter the final composition).
@@ -818,7 +767,7 @@ class Searcher {
         Vote& v = votes[i];
         t->result = std::move(outs[j].result);
         t->eval_ns += outs[j].wall_ns;
-        note_attempt(t);
+        t->cost += t->result.cost;
         if (outs[j].settled) {
           v.settled = true;
           continue;
@@ -900,27 +849,16 @@ class Searcher {
       const double secs = 1e-9 * static_cast<double>(t->eval_ns);
       metrics_.eval_seconds += secs;
       metrics_.eval_seconds_per_level[level] += secs;
-      metrics_.patch_seconds += 1e-9 * static_cast<double>(t->patch_ns);
-      metrics_.predecode_seconds +=
-          1e-9 * static_cast<double>(t->predecode_ns);
-      metrics_.run_seconds += 1e-9 * static_cast<double>(t->run_ns);
-      metrics_.verify_seconds += 1e-9 * static_cast<double>(t->verify_ns);
-      metrics_.patch_saved_seconds +=
-          1e-9 * static_cast<double>(t->patch_saved_ns);
-      metrics_.predecode_saved_seconds +=
-          1e-9 * static_cast<double>(t->predecode_saved_ns);
-      metrics_.image_cache_hits += t->image_hits;
-      metrics_.image_cache_misses += t->image_misses;
-      metrics_.funcs_reused += t->funcs_reused;
-      metrics_.funcs_patched += t->funcs_patched;
+      metrics_.cost += t->cost;
       // With journal_timings off, the nondeterministic per-trial timing
       // fields are zeroed so journal bytes depend only on the verdict
       // stream -- the property the distributed byte-identity checks diff.
       const bool times = options_.journal_timings;
-      CachedTrial entry{t->result.passed, t->result.failure_class,
-                        t->result.failure, times ? t->eval_ns : 0,
-                        times ? t->patch_saved_ns + t->predecode_saved_ns : 0,
-                        times && t->image_hits > 0};
+      CachedTrial entry{
+          t->result.passed, t->result.failure_class, t->result.failure,
+          times ? t->eval_ns : 0,
+          times ? t->cost.patch_saved_ns + t->cost.predecode_saved_ns : 0,
+          times && t->cost.image_hits > 0};
       if (journal_.is_open()) {
         // Commit locally, then replicate the exact sealed bytes to every
         // live shard: any N-1 subset of the fleet can reconstruct the
@@ -954,10 +892,7 @@ class Searcher {
   }
 
   void maybe_log_progress() {
-    if (!options_.progress_log) return;
-    const std::size_t every = std::max<std::size_t>(1,
-                                                    options_.progress_every);
-    if (tested_ % every != 0) return;
+    if (!options_.progress_log || tested_ % kProgressEvery != 0) return;
     const double wall = wall_timer_.elapsed_seconds();
     const double rate =
         wall > 0.0 ? static_cast<double>(tested_) / wall : 0.0;
@@ -965,15 +900,14 @@ class Searcher {
         100.0 * static_cast<double>(metrics_.trials_cached) /
         static_cast<double>(tested_);
     // ETA over the *currently enqueued* frontier at the live evaluation
-    // rate the pool sustains -- a lower bound, since failing units still
-    // enqueue children.
+    // rate the executor sustains, lanes_ trials at a time -- a lower
+    // bound, since failing units still enqueue children.
     double eta = 0.0;
     if (metrics_.trials_live > 0) {
       const double per_live =
           metrics_.eval_seconds / static_cast<double>(metrics_.trials_live);
       eta = static_cast<double>(queue_.size()) * per_live /
-            static_cast<double>(std::max<std::size_t>(1,
-                                                      options_.num_threads));
+            static_cast<double>(lanes_);
     }
     log::infof("search: %zu trials (%zu cached, %.1f%% hit), %.1f trials/s, "
                "%zu queued, eta >= %.1fs",
@@ -1049,7 +983,7 @@ class Searcher {
       out->push_back(std::move(c));
       return;
     }
-    if (options_.binary_split && useful.size() >= options_.min_split_size) {
+    if (options_.binary_split && useful.size() >= kMinSplitSize) {
       const std::size_t half = useful.size() / 2;
       Unit lo, hi;
       lo.kind = hi.kind = Unit::Kind::kFuncPart;
@@ -1080,7 +1014,7 @@ class Searcher {
       out->push_back(std::move(c));
       return;
     }
-    if (options_.binary_split && instrs.size() >= options_.min_split_size) {
+    if (options_.binary_split && instrs.size() >= kMinSplitSize) {
       const std::size_t half = instrs.size() / 2;
       Unit lo, hi;
       lo.kind = hi.kind = Unit::Kind::kBlockPart;

@@ -48,9 +48,6 @@ struct SearchOptions {
   bool binary_split = true;           // optimization 1 (Section 2.2)
   bool prioritize_by_profile = true;  // optimization 2 (Section 2.2)
   std::size_t num_threads = 1;
-  /// Structures with at least this many candidates are binary-split
-  /// instead of expanded child-by-child.
-  std::size_t min_split_size = 4;
   std::uint64_t max_instructions_per_run = 1ull << 32;
   bool keep_log = true;
 
@@ -186,8 +183,6 @@ struct SearchOptions {
   /// Emit progress lines (trials/sec, cache hit rate, queue depth, ETA)
   /// through support/log at info level while the search runs.
   bool progress_log = false;
-  /// Trials between progress lines.
-  std::size_t progress_every = 16;
 };
 
 /// One tested configuration, for logs and the search trace.
@@ -241,16 +236,6 @@ struct EndpointMetrics {
   bool state_degraded = false;
 };
 
-/// Per-worker-slot supervision census (isolate mode): one seat in the pool,
-/// across however many worker processes occupied it.
-struct WorkerSlotMetrics {
-  std::size_t requests = 0;     // trial requests successfully sent
-  std::size_t respawns = 0;     // worker processes respawned into the slot
-  std::size_t crashes = 0;      // non-supervisor deaths observed
-  std::size_t timeouts = 0;     // supervisor deadline kills
-  std::size_t quarantines = 0;  // per-config breakers tripped on this slot
-};
-
 /// Throughput and cache statistics of one run_search call.
 struct SearchMetrics {
   std::size_t trials_total = 0;   // == SearchResult::configs_tested
@@ -264,26 +249,11 @@ struct SearchMetrics {
   /// ("module", "function", "func-part", "block", "block-part", "insn",
   /// "composition").
   std::map<std::string, double> eval_seconds_per_level;
-  /// Stage breakdown of the summed live evaluations: where each trial's
-  /// time went (patch = instrument_image, predecode = ExecutableImage
-  /// build, run = VM execution, verify = output check).
-  double patch_seconds = 0.0;
-  double predecode_seconds = 0.0;
-  double run_seconds = 0.0;
-  double verify_seconds = 0.0;
-
-  // ---- Incremental trial pipeline -----------------------------------------
-  /// Whole-image cache hits/misses across live evaluation attempts, summed
-  /// over both engines (sandboxed workers report theirs over the wire).
-  std::size_t image_cache_hits = 0;
-  std::size_t image_cache_misses = 0;
-  /// Estimated patch/predecode seconds avoided relative to a cold build.
-  double patch_saved_seconds = 0.0;
-  double predecode_saved_seconds = 0.0;
-  /// Function-granularity reuse: segments spliced unchanged from the
-  /// variant cache vs. re-lowered from scratch.
-  std::size_t funcs_reused = 0;
-  std::size_t funcs_patched = 0;
+  /// Cost of every live evaluation attempt, summed: where the time went
+  /// by stage, what the incremental pipeline saved, and its image-cache
+  /// and function-reuse traffic (sandboxed workers and endpoints report
+  /// theirs over the wire).
+  verify::TrialCost cost;
 
   // ---- Failure taxonomy and supervision -----------------------------------
   /// Failed trials by failure_class_name ("trap", "sentinel-escape",
@@ -306,36 +276,13 @@ struct SearchMetrics {
   std::size_t jit_downgraded = 0;
 
   // ---- Process isolation --------------------------------------------------
-  /// Trial executions dispatched to sandboxed workers (retries included).
-  std::size_t isolated_trials = 0;
-  /// Worker deaths not initiated by the supervisor (SIGSEGV, OOM-kill, ...).
-  std::size_t worker_crashes = 0;
-  /// Workers respawned after a death.
-  std::size_t worker_respawns = 0;
-  /// Workers the supervisor killed for exceeding the trial deadline
-  /// (TERM, then KILL after a grace period).
-  std::size_t worker_timeouts = 0;
-  /// Corrupt/truncated result frames the pipe CRC caught.
-  std::size_t protocol_errors = 0;
-  /// Configs quarantined by the crash-loop circuit breaker.
-  std::size_t crash_quarantined = 0;
-  /// Worker-death census by signal name ("SIGSEGV" -> 17; "exit:N" for
-  /// nonzero exits).
-  std::map<std::string, std::size_t> crashes_by_signal;
-  /// The pool hit its consecutive-death threshold and aborted: the
-  /// environment, not any one config, is broken.
-  bool crash_storm = false;
+  /// The sandboxed worker pool's own counters as the search ended: worker
+  /// deaths and respawns, the per-signal crash census, delta-encoded
+  /// config frames, the per-slot census (all zero outside isolate mode).
+  runner::PoolStats pool;
   /// isolate_trials was requested but fork is unavailable (or no worker
   /// could be spawned); the search ran in-process instead.
   bool isolation_degraded = false;
-  /// Config frames shipped delta-encoded against each worker's session
-  /// base config vs. as full canonical keys, with their payload bytes.
-  std::size_t delta_requests = 0;
-  std::size_t full_requests = 0;
-  std::size_t delta_bytes = 0;
-  std::size_t full_bytes = 0;
-  /// One entry per worker slot (isolate mode only).
-  std::vector<WorkerSlotMetrics> worker_slots;
 
   // ---- Distributed execution ----------------------------------------------
   /// Trial results served by remote endpoints (shard-cache hits included).

@@ -94,21 +94,20 @@ EvalResult evaluate_config(const program::Image& original,
       TrialBuilder::Built built = options.builder->build(cfg);
       exec = std::move(built.exec);
       result.stats = built.stats;
-      result.patch_ns = built.patch_ns;
-      result.predecode_ns = built.predecode_ns;
-      result.image_cache_hit = built.cache_hit;
-      result.patch_saved_ns = built.patch_saved_ns;
-      result.predecode_saved_ns = built.predecode_saved_ns;
-      result.funcs_reused = built.funcs_reused;
-      result.funcs_total = built.funcs_total;
+      TrialCost& c = result.cost;
+      c.patch_ns = built.patch_ns;
+      c.predecode_ns = built.predecode_ns;
+      c.patch_saved_ns = built.patch_saved_ns;
+      c.predecode_saved_ns = built.predecode_saved_ns;
+      c.add_build(built.cache_hit, built.funcs_reused, built.funcs_total);
     } else {
       program::Image patched =
           instrument::instrument_image(original, index, cfg, &result.stats);
-      result.patch_ns = timer.elapsed_ns();
+      result.cost.patch_ns = timer.elapsed_ns();
 
       timer.reset();
       exec = vm::ExecutableImage::build(std::move(patched));
-      result.predecode_ns = timer.elapsed_ns();
+      result.cost.predecode_ns = timer.elapsed_ns();
     }
 
     vm::Machine::Options mopts;
@@ -116,7 +115,6 @@ EvalResult evaluate_config(const program::Image& original,
     mopts.profile = options.profile;
     mopts.engine = options.engine;
     mopts.deadline_ns = options.deadline_ns;
-    mopts.deadline_check_interval = options.deadline_check_interval;
     if (options.faults != nullptr &&
         options.faults->vm.kind != fault::VmFault::kNone) {
       mopts.fault = &options.faults->vm;
@@ -124,7 +122,7 @@ EvalResult evaluate_config(const program::Image& original,
     vm::Machine machine(exec, mopts);
     timer.reset();
     const vm::RunResult run = machine.run();
-    result.run_ns = timer.elapsed_ns();
+    result.cost.run_ns = timer.elapsed_ns();
     result.run_status = run.status;
     result.instructions_retired = run.instructions_retired;
     result.outputs = machine.output_f64();
@@ -138,7 +136,7 @@ EvalResult evaluate_config(const program::Image& original,
     }
     timer.reset();
     result.passed = verifier.verify(result.outputs);
-    result.verify_ns = timer.elapsed_ns();
+    result.cost.verify_ns = timer.elapsed_ns();
   } catch (const std::bad_alloc&) {
     // Memory exhaustion is a *resource* outcome, not a harness bug: under a
     // sandboxed worker's RLIMIT_AS a config whose patched image blows up the

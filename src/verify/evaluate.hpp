@@ -26,8 +26,6 @@ struct EvalOptions {
   /// Wall-clock deadline for the VM run; 0 disables. A trial that exceeds
   /// it fails with FailureClass::kTimeout instead of hanging the search.
   std::uint64_t deadline_ns = 0;
-  /// Retired instructions between the VM's wall-clock checks.
-  std::uint64_t deadline_check_interval = 1ull << 20;
   /// Planned faults for this evaluation attempt (fault-injection
   /// campaigns); nullptr evaluates clean.
   const fault::TrialFaults* faults = nullptr;
@@ -64,6 +62,50 @@ bool parse_failure_class(std::string_view name, FailureClass* out);
 /// (records written before the class field existed).
 FailureClass classify_failure_message(std::string_view message);
 
+/// What evaluation attempts cost. EvalResult::cost holds one attempt's; the
+/// search sums them per trial and per run (SearchMetrics::cost), and the
+/// Result wire payload carries one attempt's from a worker or endpoint.
+struct TrialCost {
+  // Stage breakdown.
+  std::uint64_t patch_ns = 0;      // instrument_image
+  std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
+  std::uint64_t run_ns = 0;        // VM execution
+  std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
+
+  // Incremental-pipeline accounting (all zero without EvalOptions::builder).
+  std::uint64_t patch_saved_ns = 0;  // estimated vs. the cold baseline
+  std::uint64_t predecode_saved_ns = 0;
+  std::uint64_t image_hits = 0;     // whole image served from the LRU
+  std::uint64_t image_misses = 0;
+  std::uint64_t funcs_reused = 0;   // function segments spliced unchanged
+  std::uint64_t funcs_patched = 0;  // function segments re-lowered
+
+  /// Records one TrialBuilder build. funcs_total == 0 means the attempt
+  /// never reached a builder (no builder configured, or a synthetic
+  /// verdict), so it adds no cache traffic.
+  void add_build(bool image_hit, std::uint64_t reused,
+                 std::uint64_t funcs_total) {
+    if (funcs_total == 0) return;
+    ++(image_hit ? image_hits : image_misses);
+    funcs_reused += reused;
+    funcs_patched += funcs_total - reused;
+  }
+
+  TrialCost& operator+=(const TrialCost& o) {
+    patch_ns += o.patch_ns;
+    predecode_ns += o.predecode_ns;
+    run_ns += o.run_ns;
+    verify_ns += o.verify_ns;
+    patch_saved_ns += o.patch_saved_ns;
+    predecode_saved_ns += o.predecode_saved_ns;
+    image_hits += o.image_hits;
+    image_misses += o.image_misses;
+    funcs_reused += o.funcs_reused;
+    funcs_patched += o.funcs_patched;
+    return *this;
+  }
+};
+
 struct EvalResult {
   bool passed = false;
   vm::RunResult::Status run_status = vm::RunResult::Status::kHalted;
@@ -72,19 +114,7 @@ struct EvalResult {
   std::vector<double> outputs;
   std::uint64_t instructions_retired = 0;
   instrument::InstrumentStats stats;
-
-  // Stage breakdown of this evaluation (SearchMetrics aggregates these).
-  std::uint64_t patch_ns = 0;      // instrument_image
-  std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
-  std::uint64_t run_ns = 0;        // VM execution
-  std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
-
-  // Incremental-pipeline accounting (all zero without EvalOptions::builder).
-  bool image_cache_hit = false;       // whole image served from the LRU
-  std::uint64_t patch_saved_ns = 0;   // estimated vs. the cold baseline
-  std::uint64_t predecode_saved_ns = 0;
-  std::uint32_t funcs_reused = 0;     // functions spliced from the cache
-  std::uint32_t funcs_total = 0;
+  TrialCost cost;
 };
 
 /// Builds the mixed-precision binary for `cfg` and evaluates it. Crashes,

@@ -1496,14 +1496,22 @@ struct MicroExec {
 
 namespace {
 
-consteval std::array<MicroExec::Handler,
-                     static_cast<std::size_t>(MicroKind::kNumMicroKinds)>
-make_micro_table() {
-  std::array<MicroExec::Handler,
-             static_cast<std::size_t>(MicroKind::kNumMicroKinds)>
-      t{};
+constexpr std::size_t kNumMicroKinds =
+    static_cast<std::size_t>(MicroKind::kNumMicroKinds);
+
+struct MicroTable {
+  std::array<MicroExec::Handler, kNumMicroKinds> handlers{};
+  /// Which kinds were given a handler. The completeness check reads these
+  /// flags rather than comparing the function pointers, which gcc 12 under
+  /// -fsanitize=undefined does not accept in a constant expression.
+  std::array<bool, kNumMicroKinds> set{};
+};
+
+consteval MicroTable make_micro_table() {
+  MicroTable t;
   const auto set = [&t](MicroKind k, MicroExec::Handler h) {
-    t[static_cast<std::size_t>(k)] = h;
+    t.handlers[static_cast<std::size_t>(k)] = h;
+    t.set[static_cast<std::size_t>(k)] = true;
   };
   using K = MicroKind;
   using E = MicroExec;
@@ -1638,12 +1646,13 @@ make_micro_table() {
   return t;
 }
 
-constexpr auto kMicroTable = make_micro_table();
-// Every MicroKind must have a handler; a null entry here means the enum and
-// the table drifted apart.
+constexpr MicroTable kMicroTableSet = make_micro_table();
+constexpr const auto& kMicroTable = kMicroTableSet.handlers;
+// Every MicroKind must have a handler; a missing entry here means the enum
+// and the table drifted apart.
 static_assert([] {
-  for (const auto h : kMicroTable) {
-    if (h == nullptr) return false;
+  for (const bool s : kMicroTableSet.set) {
+    if (!s) return false;
   }
   return true;
 }());

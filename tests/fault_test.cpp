@@ -485,7 +485,6 @@ TEST(Evaluate, NonTerminatingConfigClassifiedTimeout) {
   verify::BitExactVerifier verifier({1.0});
   verify::EvalOptions opts;
   opts.deadline_ns = 100ull * 1000 * 1000;
-  opts.deadline_check_interval = 1u << 16;
   const verify::EvalResult r = verify::evaluate_config(
       img, index, config::PrecisionConfig{}, verifier, opts);
   EXPECT_FALSE(r.passed);

@@ -410,10 +410,10 @@ TEST(SearchEquivalence, CacheOnOffIdenticalInProcess) {
             without_cache.final_config.canonical_key());
   EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
   EXPECT_EQ(with_cache.configs_tested, without_cache.configs_tested);
-  EXPECT_GT(with_cache.metrics.image_cache_hits, 0u);
-  EXPECT_GT(with_cache.metrics.funcs_reused, 0u);
-  EXPECT_EQ(without_cache.metrics.image_cache_hits, 0u);
-  EXPECT_EQ(without_cache.metrics.funcs_reused, 0u);
+  EXPECT_GT(with_cache.metrics.cost.image_hits, 0u);
+  EXPECT_GT(with_cache.metrics.cost.funcs_reused, 0u);
+  EXPECT_EQ(without_cache.metrics.cost.image_hits, 0u);
+  EXPECT_EQ(without_cache.metrics.cost.funcs_reused, 0u);
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {
@@ -434,13 +434,12 @@ TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {
             without_cache.final_config.canonical_key());
   EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
   // Delta frames were exchanged and the per-slot census saw the traffic.
-  EXPECT_GT(with_cache.metrics.delta_requests, 0u);
-  ASSERT_EQ(with_cache.metrics.worker_slots.size(), 2u);
+  const runner::PoolStats& pool = with_cache.metrics.pool;
+  EXPECT_GT(pool.delta_requests, 0u);
+  ASSERT_EQ(pool.slots.size(), 2u);
   std::size_t slot_requests = 0;
-  for (const auto& slot : with_cache.metrics.worker_slots) {
-    slot_requests += slot.requests;
-  }
-  EXPECT_EQ(slot_requests, with_cache.metrics.isolated_trials);
+  for (const auto& slot : pool.slots) slot_requests += slot.requests;
+  EXPECT_EQ(slot_requests, pool.isolated_trials);
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {
@@ -471,14 +470,11 @@ TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {
             without_cache.final_config.canonical_key());
   EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
   // The campaign actually fired, and respawns were attributed to slots.
-  EXPECT_GT(with_cache.metrics.worker_crashes +
-                with_cache.metrics.protocol_errors,
-            0u);
+  const runner::PoolStats& pool = with_cache.metrics.pool;
+  EXPECT_GT(pool.worker_crashes + pool.protocol_errors, 0u);
   std::size_t slot_respawns = 0;
-  for (const auto& slot : with_cache.metrics.worker_slots) {
-    slot_respawns += slot.respawns;
-  }
-  EXPECT_EQ(slot_respawns, with_cache.metrics.worker_respawns);
+  for (const auto& slot : pool.slots) slot_respawns += slot.respawns;
+  EXPECT_EQ(slot_respawns, pool.workers_respawned);
 }
 
 }  // namespace

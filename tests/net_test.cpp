@@ -153,10 +153,9 @@ TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
   EXPECT_EQ(trial_back.key, trial.key);
   EXPECT_EQ(trial_back.config_key, trial.config_key);
 
-  runner::WireResult wr;
+  verify::EvalResult wr;
   wr.passed = false;
-  wr.failure_class =
-      static_cast<std::uint8_t>(verify::FailureClass::kDivergence);
+  wr.failure_class = verify::FailureClass::kDivergence;
   wr.failure = "relative error 3.1e-7 at output 1";
   wr.instructions_retired = 987654;
   net::ResultMsg res;
@@ -171,7 +170,7 @@ TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
   EXPECT_EQ(res_back.flags, res.flags);
   EXPECT_EQ(res_back.worker_deaths, 2u);
   EXPECT_EQ(res_back.wall_ns, res.wall_ns);
-  runner::WireResult wr_back;
+  verify::EvalResult wr_back;
   ASSERT_TRUE(runner::decode_result(res_back.wire_result, &wr_back));
   EXPECT_EQ(wr_back.passed, wr.passed);
   EXPECT_EQ(wr_back.failure_class, wr.failure_class);
@@ -764,8 +763,8 @@ TEST(DistributedClient, ServerRejectsUnknownWorkloadAndBadVersion) {
   auto client =
       net::EndpointClient::connect(sp.ep, make_hello(), 2000, 60000, &error);
   ASSERT_NE(client, nullptr) << error;
-  EXPECT_EQ(client->workers(), 1u);
-  EXPECT_EQ(client->verifier_fp(), w.verifier->fingerprint());
+  EXPECT_EQ(client->ack().workers, 1u);
+  EXPECT_EQ(client->ack().verifier_fp, w.verifier->fingerprint());
 }
 
 TEST(DistributedClient, JournalShardSurvivesSessionDeathAndRejectsTornLines) {
@@ -778,7 +777,7 @@ TEST(DistributedClient, JournalShardSurvivesSessionDeathAndRejectsTornLines) {
   std::string error;
   auto c1 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
   ASSERT_NE(c1, nullptr) << error;
-  EXPECT_EQ(c1->shard_records(), 0u);
+  EXPECT_EQ(c1->ack().shard_records, 0u);
 
   const std::string meta = seal_record(
       "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"fp:shard-retention\"}",
@@ -812,7 +811,7 @@ TEST(DistributedClient, JournalShardSurvivesSessionDeathAndRejectsTornLines) {
   c1.reset();
   auto c2 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
   ASSERT_NE(c2, nullptr) << error;
-  EXPECT_EQ(c2->shard_records(), 3u);
+  EXPECT_EQ(c2->ack().shard_records, 3u);
   lines.clear();
   ASSERT_TRUE(c2->fetch_journal(&lines, 10000, &error)) << error;
   ASSERT_EQ(lines.size(), 3u);
@@ -824,7 +823,7 @@ TEST(DistributedClient, JournalShardSurvivesSessionDeathAndRejectsTornLines) {
   other.search_fp = "fp:someone-else";
   auto c3 = net::EndpointClient::connect(sp.ep, other, 2000, 60000, &error);
   ASSERT_NE(c3, nullptr) << error;
-  EXPECT_EQ(c3->shard_records(), 0u);
+  EXPECT_EQ(c3->ack().shard_records, 0u);
 }
 
 TEST(DistributedClient, SessionCapRejectsAndIdleReapingKeepsTheShard) {
@@ -861,7 +860,7 @@ TEST(DistributedClient, SessionCapRejectsAndIdleReapingKeepsTheShard) {
   c1.reset();
   auto c2 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
   ASSERT_NE(c2, nullptr) << error;
-  EXPECT_EQ(c2->shard_records(), 1u);
+  EXPECT_EQ(c2->ack().shard_records, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,7 +1083,7 @@ TEST(DistributedScheduler, DuplicateResultIsDiscardedNeverDoubleVoted) {
     payload = read_one_frame(&s, &fb);  // the trial
     net::TrialMsg t;
     if (!net::decode_trial(payload, &t)) return;
-    runner::WireResult wr;
+    verify::EvalResult wr;
     wr.passed = true;
     net::ResultMsg r;
     r.ticket = t.ticket;
@@ -1411,7 +1410,8 @@ TEST(DistributedSoak, FaultedFleetConvergesByteIdenticallyToIsolatedOracle) {
 
     // The oracle runs the identical seeded campaign, so its fault census
     // proves the campaign actually destroyed workers on both executors.
-    total_faults += ores.metrics.worker_crashes + ores.metrics.protocol_errors;
+    total_faults += ores.metrics.pool.worker_crashes +
+                    ores.metrics.pool.protocol_errors;
   }
   EXPECT_GT(total_faults, 0u);
 }
@@ -1644,8 +1644,8 @@ TEST(DistributedDurable, StateDirSurvivesSigkillRestartAndHealsDamage) {
   std::string error;
   auto c1 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
   ASSERT_NE(c1, nullptr) << error;
-  EXPECT_FALSE(c1->state_degraded());
-  EXPECT_EQ(c1->shard_records(), 0u);
+  EXPECT_EQ(c1->ack().state_degraded, 0u);
+  EXPECT_EQ(c1->ack().shard_records, 0u);
 
   const std::string meta = seal_record(
       "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"" + fp + "\"}", 1);
@@ -1686,9 +1686,9 @@ TEST(DistributedDurable, StateDirSurvivesSigkillRestartAndHealsDamage) {
   ASSERT_GT(sp2.pid, 0);
   auto c2 = net::EndpointClient::connect(sp2.ep, h, 2000, 60000, &error);
   ASSERT_NE(c2, nullptr) << error;
-  EXPECT_FALSE(c2->state_degraded());
-  EXPECT_GE(c2->shards_reloaded(), 1u);
-  EXPECT_EQ(c2->shard_records(), 2u);  // meta + t1; t2 was corrupted
+  EXPECT_EQ(c2->ack().state_degraded, 0u);
+  EXPECT_GE(c2->ack().shards_reloaded, 1u);
+  EXPECT_EQ(c2->ack().shard_records, 2u);  // meta + t1; t2 was corrupted
   lines.clear();
   ASSERT_TRUE(c2->fetch_journal(&lines, 10000, &error)) << error;
   ASSERT_EQ(lines.size(), 2u);
@@ -1712,7 +1712,7 @@ TEST(DistributedDurable, StateDirSurvivesSigkillRestartAndHealsDamage) {
   ASSERT_GT(sp3.pid, 0);
   auto c3 = net::EndpointClient::connect(sp3.ep, h, 2000, 60000, &error);
   ASSERT_NE(c3, nullptr) << error;
-  EXPECT_EQ(c3->shard_records(), 3u);
+  EXPECT_EQ(c3->ack().shard_records, 3u);
   lines.clear();
   ASSERT_TRUE(c3->fetch_journal(&lines, 10000, &error)) << error;
   ASSERT_EQ(lines.size(), 3u);
@@ -1778,8 +1778,8 @@ TEST(DistributedDurable, UnwritableStateDirDegradesToInMemory) {
   std::string error;
   auto c = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
   ASSERT_NE(c, nullptr) << error;
-  EXPECT_TRUE(c->state_degraded());
-  EXPECT_GE(c->disk_faults(), 1u);
+  EXPECT_NE(c->ack().state_degraded, 0u);
+  EXPECT_GE(c->ack().disk_faults, 1u);
   ASSERT_TRUE(c->journal_append({seal_record(
       "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"fp:degraded\"}", 1)}));
   std::vector<std::string> lines;
@@ -1840,7 +1840,7 @@ TEST(DistributedGossip, GossipRepairsBlankedShardWithoutAdoption) {
   auto check = net::EndpointClient::connect(s2.ep, so.hello, 2000, 60000,
                                             &error);
   ASSERT_NE(check, nullptr) << error;
-  EXPECT_EQ(check->shard_records(), committed.size());
+  EXPECT_EQ(check->ack().shard_records, committed.size());
   std::vector<std::string> lines;
   ASSERT_TRUE(check->fetch_journal(&lines, 10000, &error)) << error;
   ASSERT_EQ(lines.size(), committed.size());
@@ -1999,7 +1999,7 @@ TEST(DistributedDiskChaos, SeededDiskFaultCampaignsStayByteIdentical) {
          {net::Endpoint{"127.0.0.1", port1}, s2.ep}) {
       auto probe =
           net::EndpointClient::connect(ep, make_hello(), 2000, 60000, &error);
-      if (probe != nullptr) total_faults += probe->disk_faults();
+      if (probe != nullptr) total_faults += probe->ack().disk_faults;
     }
   }
   EXPECT_GT(total_faults, 0u);

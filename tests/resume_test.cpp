@@ -379,8 +379,10 @@ TEST(Resume, IsolatedWorkerDeathsLeaveJournalWholeAndReplayable) {
                                        opts);
   // The campaign actually killed workers, and the search still converged
   // to the clean result.
-  EXPECT_GT(cold.metrics.worker_crashes + cold.metrics.protocol_errors, 0u);
-  EXPECT_EQ(cold.metrics.crash_quarantined, 0u);
+  EXPECT_GT(
+      cold.metrics.pool.worker_crashes + cold.metrics.pool.protocol_errors,
+      0u);
+  EXPECT_EQ(cold.metrics.pool.quarantined_configs, 0u);
   EXPECT_EQ(config::to_text(p1.index, cold.final_config), clean_text);
 
   // No torn or duplicate records despite the carnage.
@@ -406,7 +408,7 @@ TEST(Resume, IsolatedWorkerDeathsLeaveJournalWholeAndReplayable) {
   const SearchResult warm = run_search(p2.image, &p2.index, *p2.verifier,
                                        opts);
   EXPECT_EQ(warm.metrics.trials_live, 0u);
-  EXPECT_EQ(warm.metrics.isolated_trials, 0u);
+  EXPECT_EQ(warm.metrics.pool.isolated_trials, 0u);
   EXPECT_EQ(warm.configs_tested, cold.configs_tested);
   EXPECT_EQ(config::to_text(p2.index, warm.final_config), clean_text);
   EXPECT_EQ(Journal::read_lines(journal).size(), lines.size() + 1);

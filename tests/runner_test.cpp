@@ -114,21 +114,19 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.run_status = vm::RunResult::Status::kTrapped;
   er.failure = "sentinel escaped at 0x40";
   er.instructions_retired = 12345;
-  er.patch_ns = 1;
-  er.predecode_ns = 2;
-  er.run_ns = 3;
-  er.verify_ns = 4;
-  er.image_cache_hit = true;
-  er.patch_saved_ns = 111;
-  er.predecode_saved_ns = 222;
-  er.funcs_reused = 5;
-  er.funcs_total = 9;
-  const runner::WireResult w = runner::from_eval_result(er);
-  runner::WireResult wback;
+  er.cost.patch_ns = 1;
+  er.cost.predecode_ns = 2;
+  er.cost.run_ns = 3;
+  er.cost.verify_ns = 4;
+  er.cost.image_hits = 1;
+  er.cost.patch_saved_ns = 111;
+  er.cost.predecode_saved_ns = 222;
+  er.cost.funcs_reused = 5;
+  er.cost.funcs_patched = 4;
   // Golden payload bytes: the Result frame body is a protocol contract
   // between drivers, workers and daemons of one kProtocolVersion.
   std::string hex;
-  for (unsigned char c : runner::encode_result(w)) {
+  for (unsigned char c : runner::encode_result(er)) {
     hex += strformat("%02x", c);
   }
   EXPECT_EQ(hex,
@@ -147,20 +145,20 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "de00000000000000"  // predecode_saved_ns
             "05000000"  // funcs_reused
             "09000000");  // funcs_total
-  ASSERT_TRUE(runner::decode_result(runner::encode_result(w), &wback));
   verify::EvalResult er2;
-  ASSERT_TRUE(runner::to_eval_result(wback, &er2));
+  ASSERT_TRUE(runner::decode_result(runner::encode_result(er), &er2));
   EXPECT_EQ(er2.passed, er.passed);
   EXPECT_EQ(er2.failure_class, er.failure_class);
   EXPECT_EQ(er2.run_status, er.run_status);
   EXPECT_EQ(er2.failure, er.failure);
   EXPECT_EQ(er2.instructions_retired, er.instructions_retired);
-  EXPECT_EQ(er2.run_ns, er.run_ns);
-  EXPECT_EQ(er2.image_cache_hit, er.image_cache_hit);
-  EXPECT_EQ(er2.patch_saved_ns, er.patch_saved_ns);
-  EXPECT_EQ(er2.predecode_saved_ns, er.predecode_saved_ns);
-  EXPECT_EQ(er2.funcs_reused, er.funcs_reused);
-  EXPECT_EQ(er2.funcs_total, er.funcs_total);
+  EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
+  EXPECT_EQ(er2.cost.image_hits, er.cost.image_hits);
+  EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);
+  EXPECT_EQ(er2.cost.predecode_saved_ns, er.cost.predecode_saved_ns);
+  EXPECT_EQ(er2.cost.funcs_reused, er.cost.funcs_reused);
+  EXPECT_EQ(er2.cost.funcs_reused + er2.cost.funcs_patched,
+            er.cost.funcs_reused + er.cost.funcs_patched);
 }
 
 TEST(Wire, DeltaRequestRoundTripAndOpcodeValidation) {
@@ -184,13 +182,21 @@ TEST(Wire, DeltaRequestRoundTripAndOpcodeValidation) {
 }
 
 TEST(Wire, RejectsOutOfRangeEnums) {
-  runner::WireResult w;
-  w.failure_class = 250;  // far outside verify::FailureClass
+  // Payload bytes 1 and 2 are the failure class and the run status.
+  const std::string good = runner::encode_result(verify::EvalResult{});
   verify::EvalResult er;
-  EXPECT_FALSE(runner::to_eval_result(w, &er));
-  w.failure_class = 0;
-  w.run_status = 250;
-  EXPECT_FALSE(runner::to_eval_result(w, &er));
+  ASSERT_TRUE(runner::decode_result(good, &er));
+  std::string bad = good;
+  bad[1] = static_cast<char>(250);  // far outside verify::FailureClass
+  EXPECT_FALSE(runner::decode_result(bad, &er));
+  bad = good;
+  bad[2] = static_cast<char>(250);
+  EXPECT_FALSE(runner::decode_result(bad, &er));
+  // The payload ends with funcs_reused and funcs_total (u32 each): more
+  // reused than total functions is damage too.
+  bad = good;
+  bad[bad.size() - 8] = 1;
+  EXPECT_FALSE(runner::decode_result(bad, &er));
 }
 
 TEST(Wire, TruncatedPayloadPoisonsReader) {
@@ -497,7 +503,7 @@ TEST(IsolatedSearch, CleanRunMatchesInProcessByteForByte) {
       search::run_search(b.image, &b.index, *b.verifier, iso);
 
   EXPECT_FALSE(isolated.metrics.isolation_degraded);
-  EXPECT_GT(isolated.metrics.isolated_trials, 0u);
+  EXPECT_GT(isolated.metrics.pool.isolated_trials, 0u);
   EXPECT_EQ(isolated.configs_tested, in_process.configs_tested);
   EXPECT_EQ(isolated.final_passed, in_process.final_passed);
   EXPECT_EQ(config::to_text(b.index, isolated.final_config),
@@ -545,13 +551,13 @@ TEST(IsolatedSearch, HardFaultSoakConvergesToCleanResult) {
     const search::SearchResult res =
         search::run_search(w.image, &w.index, *w.verifier, opts);
 
-    const search::SearchMetrics& m = res.metrics;
+    const runner::PoolStats& m = res.metrics.pool;
     EXPECT_FALSE(m.crash_storm);
-    EXPECT_EQ(m.crash_quarantined, 0u);
+    EXPECT_EQ(m.quarantined_configs, 0u);
     EXPECT_EQ(res.final_passed, ref.final_passed);
     EXPECT_EQ(config::to_text(w.index, res.final_config), clean_text);
     total_faults +=
-        m.worker_crashes + m.protocol_errors + m.worker_timeouts;
+        m.worker_crashes + m.protocol_errors + m.timeouts_killed;
   }
   // The campaigns actually destroyed workers (otherwise the soak silently
   // stopped injecting).

@@ -442,10 +442,10 @@ TEST(MetricsJson, KeySetAndValueTypesArePinned) {
   // the JSON type of its value.
   SearchResult res;
   res.metrics.failures_by_class["divergence"] = 2;
-  res.metrics.crashes_by_signal["SIGSEGV"] = 1;
+  res.metrics.pool.crashes_by_signal["SIGSEGV"] = 1;
   res.metrics.endpoints_used.emplace_back();
   res.metrics.endpoints_used[0].address = "127.0.0.1:7000";
-  res.metrics.worker_slots.emplace_back();
+  res.metrics.pool.slots.emplace_back();
 
   const std::vector<std::string> golden = {
       "trials_total:int",
