@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       {"--out", flags::text(&out_path)},
       {"--journal", flags::text(&opts.journal_path)},
       {"--metrics-json", flags::text(&metrics_path)},
-      {"--threads", flags::integer(&opts.num_threads, 1)},
+      {"--threads", flags::integer(&opts.num_threads, 1, 256)},
       {"--workers", flags::integer(&opts.num_workers, 1, 256)},
       {"--max-crashes", flags::integer(&opts.max_trial_crashes, 1, 64)},
       {"--worker-rlimit-as",

@@ -319,6 +319,8 @@ std::string encode_pong(const PongMsg& m) {
   runner::put_u8(&p, kMsgPong);
   runner::put_u64(&p, m.nonce);
   runner::put_u64(&p, m.t_send_ns);
+  runner::put_u8(&p, m.state_degraded);
+  runner::put_u64(&p, m.disk_faults);
   return p;
 }
 
@@ -327,6 +329,8 @@ bool decode_pong(std::string_view payload, PongMsg* out) {
   if (r.u8() != kMsgPong) return false;
   out->nonce = r.u64();
   out->t_send_ns = r.u64();
+  out->state_degraded = r.u8();
+  out->disk_faults = r.u64();
   return r.done();
 }
 

@@ -57,7 +57,10 @@ namespace fpmix::net {
 /// health (state_degraded, shards_reloaded, disk_faults), and the
 /// ShardDigest/ShardDigestAck exchange lets the scheduler compare shard
 /// contents across endpoints (anti-entropy gossip) without fetching them.
-constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: Pong carries the endpoint's live disk_faults and state_degraded, so
+/// the scheduler's durability census follows faults that land after the
+/// handshake.
+constexpr std::uint32_t kProtocolVersion = 5;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;
@@ -120,9 +123,9 @@ struct HelloAckMsg {
   /// Persistence health (v4). state_degraded means the daemon's shard store
   /// fell back to in-memory operation (unwritable/full state dir) -- its
   /// replicas are live but will not survive a restart. shards_reloaded and
-  /// disk_faults snapshot the store counters at handshake time, so a
-  /// scheduler can report per-endpoint durability without extra round
-  /// trips.
+  /// disk_faults snapshot the store counters at handshake time; every Pong
+  /// (v5) refreshes disk_faults and state_degraded, so with heartbeats off
+  /// this snapshot is what the scheduler reports.
   std::uint8_t state_degraded = 0;
   std::uint64_t shards_reloaded = 0;
   std::uint64_t disk_faults = 0;
@@ -246,6 +249,10 @@ bool decode_ping(std::string_view payload, PingMsg* out);
 struct PongMsg {
   std::uint64_t nonce = 0;
   std::uint64_t t_send_ns = 0;  // the ping's timestamp, echoed
+  /// The endpoint's shard-store health when it answered (v5), same meaning
+  /// as in HelloAckMsg.
+  std::uint8_t state_degraded = 0;
+  std::uint64_t disk_faults = 0;
 };
 
 std::string encode_pong(const PongMsg& m);

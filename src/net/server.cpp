@@ -545,6 +545,8 @@ struct RunnerServer::Impl {
         PongMsg pong;
         pong.nonce = m.nonce;
         pong.t_send_ns = m.t_send_ns;
+        pong.state_degraded = store->stats().degraded ? 1 : 0;
+        pong.disk_faults = store->stats().disk_faults;
         send_frame(s, encode_pong(pong));
         return;
       }

@@ -20,6 +20,11 @@ namespace fpmix::search {
 
 namespace {
 
+/// Consecutive heartbeats an endpoint may leave unanswered before it is
+/// declared dead: its session closes, its trial leases expire, and its
+/// in-flight trials re-dispatch to surviving shards.
+constexpr std::uint32_t kMissedBeatLimit = 3;
+
 std::uint64_t now_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -111,18 +116,38 @@ bool Scheduler::try_connect(Shard* s) {
   s->backoff.reset();
   s->m.workers = ack.workers;
   s->m.journal_records = ack.shard_records;
-  s->m.state_degraded = ack.state_degraded != 0;
   s->m.shards_reloaded = ack.shards_reloaded;
-  s->m.disk_faults = ack.disk_faults;
-  if (s->m.state_degraded) {
-    log::warnf("scheduler: endpoint %s reports degraded state persistence "
-               "(in-memory shards only)",
-               s->m.address.c_str());
-  }
+  note_durability(s, ack.state_degraded, ack.disk_faults);
   s->digest_inflight = false;
   s->last_gossip_ms = 0;
   s->client = std::move(client);
   return true;
+}
+
+void Scheduler::note_durability(Shard* s, std::uint8_t state_degraded,
+                                std::uint64_t disk_faults) {
+  if (state_degraded != 0 && !s->m.state_degraded) {
+    log::warnf("scheduler: endpoint %s reports degraded state persistence "
+               "(in-memory shards only)",
+               s->m.address.c_str());
+  }
+  s->m.state_degraded = state_degraded != 0;
+  s->m.disk_faults = disk_faults;
+}
+
+void Scheduler::match_pongs(Shard* s) {
+  // A pong answers its nonce and every earlier one (the link is FIFO), so
+  // one echo clears a whole stall's backlog. Every pong also refreshes the
+  // endpoint's durability census, which can move after the handshake.
+  for (const net::PongMsg& pong : s->client->take_pongs()) {
+    note_durability(s, pong.state_degraded, pong.disk_faults);
+    auto pit = s->pending_pings.find(pong.nonce);
+    if (pit == s->pending_pings.end()) continue;
+    s->rtt_us.push_back((now_ns() - pit->second) / 1000);
+    s->pending_pings.erase(s->pending_pings.begin(), std::next(pit));
+    s->unanswered = 0;
+    ++s->m.pongs;
+  }
 }
 
 std::size_t Scheduler::connect() {
@@ -248,7 +273,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
 
   // Heartbeat pass: ping every live shard whose period elapsed. A shard
   // with the previous ping still unanswered when the next comes due has
-  // missed a beat; missing missed_beat_limit in a row is death -- slow is
+  // missed a beat; missing kMissedBeatLimit in a row is death -- slow is
   // tolerated (RTT just grows), silent is not.
   const auto heartbeat = [&]() {
     if (opts_.heartbeat_ms == 0) return;
@@ -261,7 +286,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       if (s.last_ping_ms != 0 && !s.pending_pings.empty()) {
         ++s.unanswered;
         ++s.m.missed_beats;
-        if (s.unanswered >= opts_.missed_beat_limit) {
+        if (s.unanswered >= kMissedBeatLimit) {
           log::warnf("scheduler: endpoint %s missed %u heartbeats; "
                      "declaring dead (%zu leases expire)",
                      s.m.address.c_str(), s.unanswered, s.inflight.size());
@@ -381,17 +406,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       if (s.client == nullptr) continue;
       std::vector<net::ResultMsg> results;
       const bool ok = s.client->drain(&results);
-      // Match pongs to outstanding pings. A pong answers its nonce and
-      // every earlier one (the link is FIFO), so one echo clears a whole
-      // stall's backlog.
-      for (const net::PongMsg& pong : s.client->take_pongs()) {
-        auto pit = s.pending_pings.find(pong.nonce);
-        if (pit == s.pending_pings.end()) continue;
-        s.rtt_us.push_back((now_ns() - pit->second) / 1000);
-        s.pending_pings.erase(s.pending_pings.begin(), std::next(pit));
-        s.unanswered = 0;
-        ++s.m.pongs;
-      }
+      match_pongs(&s);
       bool damaged = false;
       for (net::ResultMsg& r : results) {
         auto it = s.inflight.find(r.ticket);
@@ -541,6 +556,41 @@ std::size_t Scheduler::gossip_now(int timeout_ms) {
     }
   }
   return total;
+}
+
+void Scheduler::ping_now(int timeout_ms) {
+  const std::uint64_t deadline =
+      now_ms() + static_cast<std::uint64_t>(std::max(timeout_ms, 0));
+  for (Shard& s : shards_) {
+    if (s.client == nullptr) continue;
+    net::PingMsg ping;
+    ping.nonce = s.next_nonce++;
+    ping.t_send_ns = now_ns();
+    if (!s.client->ping(ping)) {
+      shard_down(&s);
+      continue;
+    }
+    s.pending_pings.emplace(ping.nonce, ping.t_send_ns);
+    ++s.m.pings;
+    while (s.pending_pings.count(ping.nonce) != 0) {
+      // No batch is running: results drained here are late, as in
+      // gossip_now.
+      std::vector<net::ResultMsg> late;
+      const bool ok = s.client->drain(&late);
+      s.m.late_results += late.size();
+      match_pongs(&s);
+      if (!ok) {
+        shard_down(&s);
+        break;
+      }
+      const std::uint64_t now = now_ms();
+      if (s.pending_pings.count(ping.nonce) == 0 || now >= deadline) break;
+#if FPMIX_NET_POSIX
+      pollfd pfd{s.client->fd(), POLLIN, 0};
+      ::poll(&pfd, 1, static_cast<int>(deadline - now));
+#endif
+    }
+  }
 }
 
 void Scheduler::broadcast_insert(const std::string& key, bool passed,

@@ -55,12 +55,12 @@ struct SchedulerOptions {
   BackoffPolicy reconnect_backoff;
   /// Heartbeat period in milliseconds; 0 disables. While a batch runs the
   /// scheduler pings every live shard this often and tracks round-trip
-  /// times, so a stalled endpoint is distinguished from a merely slow one.
+  /// times, so a stalled endpoint is distinguished from a merely slow one;
+  /// an endpoint that leaves 3 beats in a row unanswered is declared dead.
+  /// Each pong, including the one closing round after the last batch,
+  /// refreshes the endpoint's disk_faults and state_degraded; with
+  /// heartbeats off they stay at their handshake values.
   std::uint64_t heartbeat_ms = 0;
-  /// Consecutive heartbeats an endpoint may leave unanswered before it is
-  /// declared dead: its session closes, its trial leases expire, and its
-  /// in-flight trials re-dispatch to surviving shards.
-  std::uint32_t missed_beat_limit = 3;
   /// Anti-entropy gossip period in milliseconds; 0 disables. While a batch
   /// runs, every live shard is asked for a digest of its retained journal
   /// shard this often; a digest that disagrees with the scheduler's own
@@ -117,6 +117,12 @@ class Scheduler {
   /// for healing between batches (and for tests).
   std::size_t gossip_now(int timeout_ms = 5000);
 
+  /// Runs one synchronous heartbeat round right now: pings every live
+  /// shard and waits (bounded, overall) for the pongs, so RTT and the
+  /// durability census reflect the endpoints as they are. The search runs
+  /// one after its last batch when heartbeats are on.
+  void ping_now(int timeout_ms = 2000);
+
   std::vector<EndpointMetrics> endpoint_metrics() const;
 
  private:
@@ -143,6 +149,13 @@ class Scheduler {
   };
 
   bool try_connect(Shard* s);
+  /// Matches the shard's received pongs to its outstanding pings (RTT,
+  /// missed-beat reset) and applies their durability census.
+  void match_pongs(Shard* s);
+  /// Records an endpoint's shard-store health from its HelloAck or a Pong,
+  /// warning once when the store degrades to in-memory operation.
+  void note_durability(Shard* s, std::uint8_t state_degraded,
+                       std::uint64_t disk_faults);
   /// Compares an endpoint's shard digest against the locally committed
   /// record set and re-streams what the endpoint is missing (counted in
   /// the shard's records_repaired). False when a re-stream send failed --

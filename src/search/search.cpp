@@ -248,6 +248,9 @@ class Searcher {
             : 0.0;
     if (pool_ != nullptr) metrics_.pool = pool_->stats();
     if (sched_ != nullptr) {
+      // A closing heartbeat, so the endpoints' durability census covers
+      // faults absorbed since their last pong.
+      if (options_.heartbeat_ms > 0) sched_->ping_now();
       metrics_.endpoints_used = sched_->endpoint_metrics();
       for (const EndpointMetrics& em : metrics_.endpoints_used) {
         metrics_.remote_trials += em.trials;
@@ -529,7 +532,7 @@ class Searcher {
     }
     // When trials run in crash-prone sandboxed workers, every committed
     // record must survive a driver loss too: fsync each sealed line.
-    journal_.set_fsync(options_.journal_fsync || options_.isolate_trials);
+    journal_.set_fsync(options_.isolate_trials);
     if (adopted_) {
       // The adopted history already leads with this search's meta record;
       // appending another would restart sequence numbering and break the
@@ -592,7 +595,6 @@ class Searcher {
       h.fault_rates = options_.fault_injector->rates();
     }
     sopts.connect_timeout_ms = static_cast<int>(options_.connect_timeout_ms);
-    sopts.hello_timeout_ms = static_cast<int>(options_.hello_timeout_ms);
     sopts.max_endpoint_failures = options_.max_endpoint_failures;
     sopts.max_trial_crashes = options_.max_trial_crashes;
     sopts.verifier_fp = verifier_.fingerprint();

@@ -106,7 +106,9 @@ struct SearchOptions {
   /// SearchMetrics::isolation_degraded) on platforms without fork. The
   /// driver stays single-threaded in this mode; the workers are the
   /// parallelism, so num_threads doubles as the worker count unless
-  /// num_workers overrides it.
+  /// num_workers overrides it. The journal is fsynced after each sealed
+  /// record in this mode: a crashing fleet is exactly when every committed
+  /// trial must survive a power loss.
   bool isolate_trials = false;
   /// Worker processes in isolate mode; 0 uses num_threads.
   std::size_t num_workers = 0;
@@ -115,10 +117,6 @@ struct SearchOptions {
   /// RLIMIT_AS each worker applies to itself, in MiB; 0 leaves the address
   /// space uncapped. Ignored under AddressSanitizer.
   std::uint64_t worker_rlimit_as_mb = 512;
-  /// fsync the journal file after each sealed record, making every
-  /// committed trial power-loss durable. Forced on when isolate_trials is
-  /// set (a crashing fleet is exactly when the journal must survive).
-  bool journal_fsync = false;
 
   // ---- Incremental trial pipeline ------------------------------------------
   /// Reuse patch + predecode work across trials through a shared
@@ -147,15 +145,15 @@ struct SearchOptions {
   /// sharing a fleet evaluate every configuration at most once.
   bool shard_cache = false;
   std::uint64_t connect_timeout_ms = 2000;
-  /// Handshake-ack budget; cold endpoints build the workload and run the
-  /// reference computation inside the handshake.
-  std::uint64_t hello_timeout_ms = 60000;
   /// Consecutive failures before an endpoint is abandoned for the run.
   std::uint32_t max_endpoint_failures = 3;
   /// Heartbeat period: the scheduler pings every live endpoint this often
   /// and tracks RTT; an endpoint missing 3 consecutive beats is declared
   /// dead (its leases expire and its trials re-dispatch). 0 disables
-  /// heartbeats (liveness then rests on send failures alone).
+  /// heartbeats (liveness then rests on send failures alone, and each
+  /// endpoint's disk_faults/state_degraded stay at their handshake values;
+  /// with heartbeats on, every pong -- and one closing ping round after the
+  /// last batch -- refreshes them).
   std::uint64_t heartbeat_ms = 1000;
   /// Anti-entropy gossip period: the scheduler asks every live endpoint
   /// for a digest of its retained journal shard this often and re-streams

@@ -74,7 +74,9 @@ bool parse_u64(std::string_view s, std::uint64_t* out) {
   std::uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - d) / 10) return false;  // would wrap
+    v = v * 10 + d;
   }
   *out = v;
   return true;
@@ -90,6 +92,7 @@ bool parse_hex_u64(std::string_view s, std::uint64_t* out) {
     else if (c >= 'a' && c <= 'f') d = static_cast<std::uint64_t>(c - 'a' + 10);
     else if (c >= 'A' && c <= 'F') d = static_cast<std::uint64_t>(c - 'A' + 10);
     else return false;
+    if (v >> 60 != 0) return false;  // would wrap
     v = (v << 4) | d;
   }
   *out = v;

@@ -290,10 +290,14 @@ TEST(NetProtocol, JournalStreamingMessagesRoundTrip) {
   net::PongMsg pong;
   pong.nonce = 42;
   pong.t_send_ns = ping.t_send_ns;
+  pong.state_degraded = 1;
+  pong.disk_faults = 7;
   net::PongMsg pong_back;
   ASSERT_TRUE(net::decode_pong(net::encode_pong(pong), &pong_back));
   EXPECT_EQ(pong_back.nonce, 42u);
   EXPECT_EQ(pong_back.t_send_ns, pong.t_send_ns);
+  EXPECT_EQ(pong_back.state_degraded, 1u);
+  EXPECT_EQ(pong_back.disk_faults, 7u);
 
   // Cross-type decodes fail: a ping never decodes as a pong or an append.
   EXPECT_FALSE(net::decode_pong(net::encode_ping(ping), &pong_back));
@@ -1786,6 +1790,56 @@ TEST(DistributedDurable, UnwritableStateDirDegradesToInMemory) {
   ASSERT_TRUE(c->fetch_journal(&lines, 10000, &error)) << error;
   EXPECT_EQ(lines.size(), 1u);
   std::remove(blocker.c_str());
+}
+
+TEST(DistributedDurable, DiskFaultsAfterHandshakeReachSearchMetrics) {
+  SKIP_WITHOUT_NET();
+  // Every journal append tears, so faults accrue only once the search
+  // streams records -- after its handshake, which sees a fresh state dir.
+  fault::DiskChaos::Rates rates;
+  rates.short_write = 1.0;
+  const fault::DiskChaos chaos(0xD15CAF7E, rates);
+  SpawnOpts o;
+  o.workers = 2;
+  o.state_dir = temp_state_dir("late_faults");
+  o.disk_chaos = &chaos;
+  ServerProc sp = spawn_server_with(o);
+  ASSERT_GT(sp.pid, 0);
+  const auto daemon_faults = [&]() -> std::uint64_t {
+    std::string error;
+    auto probe =
+        net::EndpointClient::connect(sp.ep, make_hello(), 2000, 60000, &error);
+    EXPECT_NE(probe, nullptr) << error;
+    return probe == nullptr ? 0 : probe->ack().disk_faults;
+  };
+  ASSERT_EQ(daemon_faults(), 0u);
+
+  // Heartbeats on (the default 1 s period, longer than this search): the
+  // closing ping round after the last batch refreshes the census.
+  search::SearchOptions fleet;
+  fleet.endpoints = {sp.ep.str()};
+  fleet.remote_bench = "iso";
+  fleet.journal_timings = false;
+  fleet.journal_path = temp_journal("net_late_faults.jsonl");
+  NetWorkload w = make_workload();
+  const search::SearchResult res =
+      search::run_search(w.image, &w.index, *w.verifier, fleet);
+  EXPECT_FALSE(res.metrics.remote_degraded);
+  ASSERT_EQ(res.metrics.endpoints_used.size(), 1u);
+  EXPECT_GE(res.metrics.endpoints_used[0].disk_faults, 1u);
+  EXPECT_EQ(res.metrics.disk_faults,
+            res.metrics.endpoints_used[0].disk_faults);
+  EXPECT_EQ(res.metrics.state_degraded, 0u);
+  const std::uint64_t after = daemon_faults();
+  EXPECT_EQ(after, res.metrics.disk_faults);
+
+  // Heartbeats off: no pong ever arrives, so the handshake snapshot stands.
+  fleet.journal_path = temp_journal("net_late_faults_quiet.jsonl");
+  fleet.heartbeat_ms = 0;
+  NetWorkload w2 = make_workload();
+  const search::SearchResult quiet =
+      search::run_search(w2.image, &w2.index, *w2.verifier, fleet);
+  EXPECT_EQ(quiet.metrics.disk_faults, after);
 }
 
 TEST(DistributedGossip, GossipRepairsBlankedShardWithoutAdoption) {

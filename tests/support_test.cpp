@@ -63,12 +63,19 @@ TEST(Strings, ParseNumbers) {
   EXPECT_EQ(v, 12345u);
   EXPECT_FALSE(parse_u64("", &v));
   EXPECT_FALSE(parse_u64("12x", &v));
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(parse_u64("18446744073709551616", &v));  // 2^64 must not wrap
+  EXPECT_FALSE(parse_u64("99999999999999999999", &v));
   EXPECT_TRUE(parse_hex_u64("0x400a1F", &v));
   EXPECT_EQ(v, 0x400a1Fu);
   EXPECT_TRUE(parse_hex_u64("ff", &v));
   EXPECT_EQ(v, 0xFFu);
   EXPECT_FALSE(parse_hex_u64("0x", &v));
   EXPECT_FALSE(parse_hex_u64("0xZZ", &v));
+  EXPECT_TRUE(parse_hex_u64("0xffffffffffffffff", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(parse_hex_u64("0x10000000000000000", &v));  // 2^64
 }
 
 // ---------------------------------------------------------------------------
