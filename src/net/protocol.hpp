@@ -124,8 +124,7 @@ struct HelloAckMsg {
   /// fell back to in-memory operation (unwritable/full state dir) -- its
   /// replicas are live but will not survive a restart. shards_reloaded and
   /// disk_faults snapshot the store counters at handshake time; every Pong
-  /// (v5) refreshes disk_faults and state_degraded, so with heartbeats off
-  /// this snapshot is what the scheduler reports.
+  /// (v5) refreshes disk_faults and state_degraded.
   std::uint8_t state_degraded = 0;
   std::uint64_t shards_reloaded = 0;
   std::uint64_t disk_faults = 0;

@@ -509,6 +509,26 @@ bool Scheduler::heal_from_digest(Shard* s, const net::ShardDigestMsg& d) {
   return true;
 }
 
+bool Scheduler::await_reply(Shard* s, std::uint64_t deadline_ms,
+                            const std::function<bool()>& answered) {
+  while (true) {
+    std::vector<net::ResultMsg> late;
+    const bool ok = s->client->drain(&late);
+    s->m.late_results += late.size();
+    if (answered() || s->client == nullptr) return true;
+    if (!ok) {
+      shard_down(s);
+      return true;
+    }
+    const std::uint64_t now = now_ms();
+    if (now >= deadline_ms) return false;
+#if FPMIX_NET_POSIX
+    pollfd pfd{s->client->fd(), POLLIN, 0};
+    ::poll(&pfd, 1, static_cast<int>(deadline_ms - now));
+#endif
+  }
+}
+
 std::size_t Scheduler::gossip_now(int timeout_ms) {
   reconnect_due();
   std::size_t total = 0;
@@ -521,38 +541,24 @@ std::size_t Scheduler::gossip_now(int timeout_ms) {
     const std::uint64_t deadline =
         now_ms() + static_cast<std::uint64_t>(timeout_ms > 0 ? timeout_ms
                                                              : 5000);
-    bool answered = false;
-    while (!answered) {
-      // No batch is running, so any results drained here rode an expired
-      // lease; they are discarded exactly like late results in run_batch.
-      std::vector<net::ResultMsg> late;
-      const bool ok = s.client->drain(&late);
-      s.m.late_results += late.size();
+    bool healed = true;
+    const auto take_digest = [&]() {
+      bool got = false;
       for (const net::ShardDigestMsg& d : s.client->take_digests()) {
-        answered = true;
+        got = true;
         const std::uint64_t before = s.m.records_repaired;
-        if (!heal_from_digest(&s, d)) {
-          shard_down(&s);
-          break;
-        }
+        healed = heal_from_digest(&s, d);
+        if (!healed) break;
         total += s.m.records_repaired - before;
       }
-      if (answered || s.client == nullptr) break;
-      if (!ok) {
-        shard_down(&s);
-        break;
-      }
-      const std::uint64_t now = now_ms();
-      if (now >= deadline) {
-        log::warnf("scheduler: gossip digest from %s timed out",
-                   s.m.address.c_str());
-        shard_down(&s);
-        break;
-      }
-#if FPMIX_NET_POSIX
-      pollfd pfd{s.client->fd(), POLLIN, 0};
-      ::poll(&pfd, 1, static_cast<int>(deadline - now));
-#endif
+      return got;
+    };
+    if (!await_reply(&s, deadline, take_digest)) {
+      log::warnf("scheduler: gossip digest from %s timed out",
+                 s.m.address.c_str());
+      shard_down(&s);
+    } else if (!healed) {
+      shard_down(&s);
     }
   }
   return total;
@@ -572,24 +578,11 @@ void Scheduler::ping_now(int timeout_ms) {
     }
     s.pending_pings.emplace(ping.nonce, ping.t_send_ns);
     ++s.m.pings;
-    while (s.pending_pings.count(ping.nonce) != 0) {
-      // No batch is running: results drained here are late, as in
-      // gossip_now.
-      std::vector<net::ResultMsg> late;
-      const bool ok = s.client->drain(&late);
-      s.m.late_results += late.size();
+    // A pong that misses the deadline leaves the census as it was.
+    await_reply(&s, deadline, [&]() {
       match_pongs(&s);
-      if (!ok) {
-        shard_down(&s);
-        break;
-      }
-      const std::uint64_t now = now_ms();
-      if (s.pending_pings.count(ping.nonce) == 0 || now >= deadline) break;
-#if FPMIX_NET_POSIX
-      pollfd pfd{s.client->fd(), POLLIN, 0};
-      ::poll(&pfd, 1, static_cast<int>(deadline - now));
-#endif
-    }
+      return s.pending_pings.count(ping.nonce) == 0;
+    });
   }
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,9 +58,7 @@ struct SchedulerOptions {
   /// scheduler pings every live shard this often and tracks round-trip
   /// times, so a stalled endpoint is distinguished from a merely slow one;
   /// an endpoint that leaves 3 beats in a row unanswered is declared dead.
-  /// Each pong, including the one closing round after the last batch,
-  /// refreshes the endpoint's disk_faults and state_degraded; with
-  /// heartbeats off they stay at their handshake values.
+  /// Each pong refreshes the endpoint's disk_faults and state_degraded.
   std::uint64_t heartbeat_ms = 0;
   /// Anti-entropy gossip period in milliseconds; 0 disables. While a batch
   /// runs, every live shard is asked for a digest of its retained journal
@@ -120,7 +119,7 @@ class Scheduler {
   /// Runs one synchronous heartbeat round right now: pings every live
   /// shard and waits (bounded, overall) for the pongs, so RTT and the
   /// durability census reflect the endpoints as they are. The search runs
-  /// one after its last batch when heartbeats are on.
+  /// one after its last batch.
   void ping_now(int timeout_ms = 2000);
 
   std::vector<EndpointMetrics> endpoint_metrics() const;
@@ -161,6 +160,13 @@ class Scheduler {
   /// the shard's records_repaired). False when a re-stream send failed --
   /// the caller downs the shard.
   bool heal_from_digest(Shard* s, const net::ShardDigestMsg& d);
+  /// Waits on an idle shard (no batch running) until `answered` -- called
+  /// after each drain -- reports the awaited reply in. Results drained
+  /// meanwhile rode an expired lease and count as late. True once the reply
+  /// is in or the session dropped (the shard is then down); false when
+  /// `deadline_ms` passes first, which the caller judges.
+  bool await_reply(Shard* s, std::uint64_t deadline_ms,
+                   const std::function<bool()>& answered);
   void shard_down(Shard* s);
   /// Endpoint-failure accounting shared by every failure path: counts a
   /// circuit-breaker trip on the closed->open transition, arms the jittered

@@ -250,7 +250,7 @@ class Searcher {
     if (sched_ != nullptr) {
       // A closing heartbeat, so the endpoints' durability census covers
       // faults absorbed since their last pong.
-      if (options_.heartbeat_ms > 0) sched_->ping_now();
+      sched_->ping_now();
       metrics_.endpoints_used = sched_->endpoint_metrics();
       for (const EndpointMetrics& em : metrics_.endpoints_used) {
         metrics_.remote_trials += em.trials;

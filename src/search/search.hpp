@@ -150,10 +150,7 @@ struct SearchOptions {
   /// Heartbeat period: the scheduler pings every live endpoint this often
   /// and tracks RTT; an endpoint missing 3 consecutive beats is declared
   /// dead (its leases expire and its trials re-dispatch). 0 disables
-  /// heartbeats (liveness then rests on send failures alone, and each
-  /// endpoint's disk_faults/state_degraded stay at their handshake values;
-  /// with heartbeats on, every pong -- and one closing ping round after the
-  /// last batch -- refreshes them).
+  /// heartbeats (liveness then rests on send failures alone).
   std::uint64_t heartbeat_ms = 1000;
   /// Anti-entropy gossip period: the scheduler asks every live endpoint
   /// for a digest of its retained journal shard this often and re-streams

@@ -1799,47 +1799,43 @@ TEST(DistributedDurable, DiskFaultsAfterHandshakeReachSearchMetrics) {
   fault::DiskChaos::Rates rates;
   rates.short_write = 1.0;
   const fault::DiskChaos chaos(0xD15CAF7E, rates);
-  SpawnOpts o;
-  o.workers = 2;
-  o.state_dir = temp_state_dir("late_faults");
-  o.disk_chaos = &chaos;
-  ServerProc sp = spawn_server_with(o);
-  ASSERT_GT(sp.pid, 0);
-  const auto daemon_faults = [&]() -> std::uint64_t {
-    std::string error;
-    auto probe =
-        net::EndpointClient::connect(sp.ep, make_hello(), 2000, 60000, &error);
-    EXPECT_NE(probe, nullptr) << error;
-    return probe == nullptr ? 0 : probe->ack().disk_faults;
-  };
-  ASSERT_EQ(daemon_faults(), 0u);
+  // The default 1 s heartbeat period is longer than this search, and 0
+  // sends no heartbeat at all: either way the closing ping round after the
+  // last batch is what brings the census up to date.
+  for (const std::uint64_t heartbeat_ms : {1000, 0}) {
+    SCOPED_TRACE("heartbeat_ms " + std::to_string(heartbeat_ms));
+    SpawnOpts o;
+    o.workers = 2;
+    o.state_dir = temp_state_dir("late_faults");
+    o.disk_chaos = &chaos;
+    ServerProc sp = spawn_server_with(o);
+    ASSERT_GT(sp.pid, 0);
+    const auto daemon_faults = [&]() -> std::uint64_t {
+      std::string error;
+      auto probe = net::EndpointClient::connect(sp.ep, make_hello(), 2000,
+                                                60000, &error);
+      EXPECT_NE(probe, nullptr) << error;
+      return probe == nullptr ? 0 : probe->ack().disk_faults;
+    };
+    ASSERT_EQ(daemon_faults(), 0u);
 
-  // Heartbeats on (the default 1 s period, longer than this search): the
-  // closing ping round after the last batch refreshes the census.
-  search::SearchOptions fleet;
-  fleet.endpoints = {sp.ep.str()};
-  fleet.remote_bench = "iso";
-  fleet.journal_timings = false;
-  fleet.journal_path = temp_journal("net_late_faults.jsonl");
-  NetWorkload w = make_workload();
-  const search::SearchResult res =
-      search::run_search(w.image, &w.index, *w.verifier, fleet);
-  EXPECT_FALSE(res.metrics.remote_degraded);
-  ASSERT_EQ(res.metrics.endpoints_used.size(), 1u);
-  EXPECT_GE(res.metrics.endpoints_used[0].disk_faults, 1u);
-  EXPECT_EQ(res.metrics.disk_faults,
-            res.metrics.endpoints_used[0].disk_faults);
-  EXPECT_EQ(res.metrics.state_degraded, 0u);
-  const std::uint64_t after = daemon_faults();
-  EXPECT_EQ(after, res.metrics.disk_faults);
-
-  // Heartbeats off: no pong ever arrives, so the handshake snapshot stands.
-  fleet.journal_path = temp_journal("net_late_faults_quiet.jsonl");
-  fleet.heartbeat_ms = 0;
-  NetWorkload w2 = make_workload();
-  const search::SearchResult quiet =
-      search::run_search(w2.image, &w2.index, *w2.verifier, fleet);
-  EXPECT_EQ(quiet.metrics.disk_faults, after);
+    search::SearchOptions fleet;
+    fleet.endpoints = {sp.ep.str()};
+    fleet.remote_bench = "iso";
+    fleet.journal_timings = false;
+    fleet.journal_path = temp_journal("net_late_faults.jsonl");
+    fleet.heartbeat_ms = heartbeat_ms;
+    NetWorkload w = make_workload();
+    const search::SearchResult res =
+        search::run_search(w.image, &w.index, *w.verifier, fleet);
+    EXPECT_FALSE(res.metrics.remote_degraded);
+    ASSERT_EQ(res.metrics.endpoints_used.size(), 1u);
+    EXPECT_GE(res.metrics.endpoints_used[0].disk_faults, 1u);
+    EXPECT_EQ(res.metrics.disk_faults,
+              res.metrics.endpoints_used[0].disk_faults);
+    EXPECT_EQ(res.metrics.state_degraded, 0u);
+    EXPECT_EQ(daemon_faults(), res.metrics.disk_faults);
+  }
 }
 
 TEST(DistributedGossip, GossipRepairsBlankedShardWithoutAdoption) {
