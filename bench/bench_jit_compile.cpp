@@ -5,7 +5,9 @@
 // completion on the reference switch interpreter, the micro-op engine and
 // the baseline JIT (profiling off on all three -- the trial-evaluation
 // configuration). Reports retired-instructions-per-second per engine, the
-// JIT's standalone compile+link time, and the cold (first run on a fresh
+// JIT's standalone compile+link time, the delta link time (one function
+// recompiled and the image relinked around the warm blobs of every other
+// function, as a delta trial does), and the cold (first run on a fresh
 // image, compile included) vs warm (per-image code cache hit) wall time.
 // All three engines must agree bit-for-bit on outputs and retired counts;
 // any mismatch fails the run with a non-zero exit, so this binary doubles
@@ -43,6 +45,7 @@
 
 #include "bench_util.hpp"
 #include "kernels/workload.hpp"
+#include "program/layout.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "vm/jit/jit.hpp"
@@ -125,6 +128,46 @@ AmdahlRun run_amdahl(
   return out;
 }
 
+/// Mean cost of a delta link: for each function in turn, compile its blob
+/// and link an image that reuses the warm blobs of every other function.
+/// Returns a negative value when the code arena refuses a placement.
+double delta_link_seconds(const fpmix::program::Image& img) {
+  using namespace fpmix;
+  const program::Program prog = program::lift(img);
+  std::vector<program::FuncLayout> layouts;
+  std::vector<const program::FuncLayout*> ptrs;
+  layouts.reserve(prog.functions.size());
+  for (const program::Function& fn : prog.functions) {
+    layouts.push_back(program::layout_function(fn));
+  }
+  std::vector<std::shared_ptr<const vm::CodeSegment>> segs;
+  for (const program::FuncLayout& l : layouts) {
+    ptrs.push_back(&l);
+    segs.push_back(vm::CodeSegment::build(l));
+  }
+  const auto exec =
+      vm::ExecutableImage::build_spliced(program::assemble(prog, ptrs), segs);
+  const auto& first = exec->segment_first_index();
+  std::vector<vm::jit::LinkSegment> warm;
+  for (std::size_t f = 0; f < segs.size(); ++f) {
+    auto blob = vm::jit::compile_stream(
+        segs[f]->uops(), {true, false, static_cast<std::uint32_t>(f)});
+    if (blob == nullptr) return -1.0;
+    const std::uint64_t byte_base =
+        segs[f]->instruction_count() == 0 ? 0 : exec->code()[first[f]].addr;
+    warm.push_back({std::move(blob), first[f], byte_base});
+  }
+  Timer t;
+  for (std::size_t f = 0; f < segs.size(); ++f) {
+    std::vector<vm::jit::LinkSegment> links = warm;
+    links[f].blob = vm::jit::compile_stream(
+        segs[f]->uops(), {true, false, static_cast<std::uint32_t>(f)});
+    if (links[f].blob == nullptr) return -1.0;
+    vm::jit::JitImage::link(std::move(links), exec->uops().size());
+  }
+  return t.elapsed_seconds() / static_cast<double>(segs.size());
+}
+
 struct KernelRow {
   std::string name;
   std::uint64_t retired = 0;
@@ -133,6 +176,7 @@ struct KernelRow {
   double jit_mips = 0.0;
   double speedup = 0.0;
   double compile_ms = 0.0;
+  double delta_link_ms = 0.0;
   double cold_ms = 0.0;
   double warm_ms = 0.0;
   AmdahlRun amdahl;
@@ -180,11 +224,11 @@ int main(int argc, char** argv) {
   std::printf("VM engines + JIT compile budget, NAS kernel suite, class %c "
               "(best of %d rep%s)\n",
               cls, reps, reps == 1 ? "" : "s");
-  bench::print_rule(100);
-  std::printf("%-8s %13s %10s %10s %10s %8s %9s %9s %9s\n", "bench",
+  bench::print_rule(110);
+  std::printf("%-8s %13s %10s %10s %10s %8s %9s %9s %9s %9s\n", "bench",
               "instructions", "sw MIPS", "micro MIPS", "jit MIPS",
-              "jit/mic", "compile", "cold ms", "warm ms");
-  bench::print_rule(100);
+              "jit/mic", "compile", "delta lnk", "cold ms", "warm ms");
+  bench::print_rule(110);
 
   bool all_match = true;
   double log_speedup_sum = 0.0;
@@ -199,19 +243,24 @@ int main(int argc, char** argv) {
     // compile of the whole stream, the same work a cold Machine run does.
     // The blob's per-family lowering census is accumulated into `coverage`.
     double compile_seconds = 0.0;
+    double delta_seconds = 0.0;
     if (jit) {
       const auto exec_probe = vm::ExecutableImage::build(img);
       Timer ct;
-      const auto blob = vm::jit::compile_stream(
-          exec_probe->uops(), vm::jit::CompileMode{false, false});
-      std::vector<vm::jit::LinkSegment> segs;
-      segs.push_back({blob, 0, 0});
-      const auto linked =
-          vm::jit::JitImage::link(segs, exec_probe->uops().size());
+      auto blob = vm::jit::compile_stream(exec_probe->uops(),
+                                          vm::jit::CompileMode{});
+      const bool placed = blob != nullptr;
+      if (placed) {
+        coverage.add(blob->stats);
+        std::vector<vm::jit::LinkSegment> segs;
+        segs.push_back({std::move(blob), 0, 0});
+        vm::jit::JitImage::link(std::move(segs), exec_probe->uops().size());
+      }
       compile_seconds = ct.elapsed_seconds();
-      coverage.add(blob->stats);
-      if (linked == nullptr) {
-        std::printf("%-8s FAILED: jit link refused\n", w.name.c_str());
+      delta_seconds = placed ? delta_link_seconds(img) : -1.0;
+      if (delta_seconds < 0.0) {
+        std::printf("%-8s FAILED: code arena refused a placement\n",
+                    w.name.c_str());
         all_match = false;
         continue;
       }
@@ -255,26 +304,27 @@ int main(int argc, char** argv) {
           static_cast<double>(jrun.retired) / jrun.best_seconds / 1e6;
       row.speedup = row.jit_mips / row.micro_mips;
       row.compile_ms = 1e3 * compile_seconds;
+      row.delta_link_ms = 1e3 * delta_seconds;
       row.cold_ms = 1e3 * jrun.first_seconds;
       row.warm_ms = 1e3 * jrun.best_seconds;
       row.amdahl = run_amdahl(exec, w.max_instructions);
       log_speedup_sum += std::log(row.speedup);
       ++speedup_rows;
       std::printf("%-8s %13llu %10.1f %10.1f %10.1f %7.2fx %7.2fms "
-                  "%9.2f %9.2f\n",
+                  "%7.3fms %9.2f %9.2f\n",
                   row.name.c_str(),
                   static_cast<unsigned long long>(row.retired), row.sw_mips,
                   row.micro_mips, row.jit_mips, row.speedup, row.compile_ms,
-                  row.cold_ms, row.warm_ms);
+                  row.delta_link_ms, row.cold_ms, row.warm_ms);
     } else {
-      std::printf("%-8s %13llu %10.1f %10.1f %10s %8s %9s %9s %9s\n",
+      std::printf("%-8s %13llu %10.1f %10.1f %10s %8s %9s %9s %9s %9s\n",
                   row.name.c_str(),
                   static_cast<unsigned long long>(row.retired), row.sw_mips,
-                  row.micro_mips, "-", "-", "-", "-", "-");
+                  row.micro_mips, "-", "-", "-", "-", "-", "-");
     }
     rows.push_back(row);
   }
-  bench::print_rule(100);
+  bench::print_rule(110);
   double geomean = 0.0;
   if (speedup_rows > 0) {
     geomean = std::exp(log_speedup_sum / static_cast<double>(speedup_rows));
@@ -357,11 +407,12 @@ int main(int argc, char** argv) {
           "    {\"name\": \"%s\", \"instructions\": %llu, "
           "\"switch_mips\": %.1f, \"micro_mips\": %.1f, "
           "\"jit_mips\": %.1f, \"speedup\": %.3f, \"compile_ms\": %.3f, "
-          "\"cold_ms\": %.3f, \"warm_ms\": %.3f, \"helper_ms\": %.3f, "
+          "\"delta_link_ms\": %.4f, \"cold_ms\": %.3f, "
+          "\"warm_ms\": %.3f, \"helper_ms\": %.3f, "
           "\"helper_calls\": %llu, \"helper_frac\": %.4f}%s\n",
           r.name.c_str(), static_cast<unsigned long long>(r.retired),
           r.sw_mips, r.micro_mips, r.jit_mips, r.speedup, r.compile_ms,
-          r.cold_ms, r.warm_ms, 1e3 * r.amdahl.helper_seconds,
+          r.delta_link_ms, r.cold_ms, r.warm_ms, 1e3 * r.amdahl.helper_seconds,
           static_cast<unsigned long long>(r.amdahl.helper_calls),
           r.amdahl.helper_seconds / std::max(1e-9, r.amdahl.total_seconds),
           i + 1 < rows.size() ? "," : "");

@@ -22,7 +22,8 @@
 // With --journal, every completed trial is appended to FILE as it
 // finishes; re-running the same command resumes from it, re-using every
 // journaled verdict instead of re-evaluating (an interrupted search loses
-// at most the trial in flight).
+// at most the trial in flight). A FILE that cannot be opened for appending
+// exits 3 before the search starts.
 //
 // --isolate runs every trial in a forked, rlimit-capped worker process:
 // a trial that crashes or OOMs kills its worker, never the search.
@@ -74,6 +75,7 @@
 // internal-error trials, or an --out / --metrics-json file that cannot be
 // written).
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -93,6 +95,20 @@
 #include "vm/machine.hpp"
 
 using namespace fpmix;
+
+namespace {
+
+/// True when `path` can be opened for appending. Leaves no file behind
+/// when it did not exist before.
+bool appendable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app).is_open()) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   // The benchmark is positional and optional; the class letter may follow
@@ -213,6 +229,15 @@ int main(int argc, char** argv) {
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  }
+
+  // The library only warns about an unusable journal (the search still
+  // completes without one); on the command line it is a mistake to report
+  // before any work is done.
+  if (!opts.journal_path.empty() && !appendable(opts.journal_path)) {
+    std::fprintf(stderr, "cannot open journal %s for appending\n",
+                 opts.journal_path.c_str());
+    return 3;
   }
 
   // The handshake re-announces the workload by name; the daemons build the

@@ -121,9 +121,7 @@ bool EndpointClient::submit(const TrialMsg& m) {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_trial(m)),
                       /*timeout_ms=*/10000)) {
-    last_error_ = "trial send failed";
-    close();
-    return false;
+    return send_failed("trial send failed");
   }
   return true;
 }
@@ -132,9 +130,7 @@ bool EndpointClient::insert(const CacheInsertMsg& m) {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_cache_insert(m)),
                       /*timeout_ms=*/10000)) {
-    last_error_ = "cache insert send failed";
-    close();
-    return false;
+    return send_failed("cache insert send failed");
   }
   return true;
 }
@@ -143,9 +139,7 @@ bool EndpointClient::journal_append(const JournalAppendMsg& m) {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_journal_append(m)),
                       /*timeout_ms=*/10000)) {
-    last_error_ = "journal append send failed";
-    close();
-    return false;
+    return send_failed("journal append send failed");
   }
   return true;
 }
@@ -154,9 +148,7 @@ bool EndpointClient::ping(const PingMsg& m) {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_ping(m)),
                       /*timeout_ms=*/10000)) {
-    last_error_ = "ping send failed";
-    close();
-    return false;
+    return send_failed("ping send failed");
   }
   return true;
 }
@@ -165,9 +157,7 @@ bool EndpointClient::request_digest() {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_shard_digest()),
                       /*timeout_ms=*/10000)) {
-    last_error_ = "shard digest send failed";
-    close();
-    return false;
+    return send_failed("shard digest send failed");
   }
   return true;
 }
@@ -256,8 +246,14 @@ bool EndpointClient::fetch_journal(std::vector<std::string>* lines,
 #endif
 }
 
+bool EndpointClient::send_failed(const char* what) {
+  last_error_ = what;
+  dead_ = true;
+  return false;
+}
+
 bool EndpointClient::drain(std::vector<ResultMsg>* out) {
-  if (dead_) return false;
+  if (!sock_.valid()) return false;
   std::string bytes;
   const IoStatus io = sock_.read_available(&bytes);
   if (!bytes.empty()) fb_.append(bytes);
@@ -317,7 +313,7 @@ bool EndpointClient::drain(std::vector<ResultMsg>* out) {
     session_over = true;
     break;
   }
-  if (session_over) {
+  if (session_over || dead_) {
     if (last_error_.empty()) last_error_ = "connection closed";
     close();
     return false;

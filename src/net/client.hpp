@@ -11,7 +11,9 @@
 // violation) kills the session permanently: drain() returns false, the
 // scheduler reroutes in-flight trials to other shards, and reconnection is
 // the scheduler's job (with jittered backoff). There is no in-place
-// recovery, exactly like a dead worker pipe in the local pool.
+// recovery, exactly like a dead worker pipe in the local pool. A failed
+// send kills the session too, but leaves the socket open until the next
+// drain(), so verdicts the endpoint delivered before it died still count.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ class EndpointClient {
                                                  std::string* error);
 
   /// Queues one trial on the session. False when the session is dead or
-  /// the send fails (the caller reroutes the trial).
+  /// the send fails (the caller drains, then reroutes the trial).
   bool submit(const TrialMsg& m);
 
   /// Ships a shard-cache fill. Failures are non-fatal to the caller
@@ -64,8 +66,9 @@ class EndpointClient {
 
   /// Drains the socket and appends every complete ResultMsg to *out.
   /// Returns false when the session died (EOF, error, corrupt frame,
-  /// protocol violation); results decoded before the damage are still
-  /// appended, so a clean server shutdown delivers its final verdicts.
+  /// protocol violation, an earlier failed send); results decoded before
+  /// the damage are still appended, so an endpoint that answered and then
+  /// died delivers its final verdicts. Closes the socket of a dead session.
   /// Pongs are collected aside; take_pongs() hands them over.
   bool drain(std::vector<ResultMsg>* out);
 
@@ -102,6 +105,10 @@ class EndpointClient {
  private:
   EndpointClient(Socket sock, const Endpoint& ep)
       : sock_(std::move(sock)), ep_(ep) {}
+
+  /// Marks the session dead after a failed send; the socket stays open for
+  /// the final drain(). Returns false.
+  bool send_failed(const char* what);
 
   Socket sock_;
   Endpoint ep_;

@@ -271,6 +271,60 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
     shard_down(s);
   };
 
+  // Takes every verdict the shard has delivered and votes it once. False
+  // when the session is over (or a verdict was damaged): the caller then
+  // fails the shard. Every failure path drains first, so a verdict that
+  // arrived before the endpoint died is counted, never charged as a crash.
+  const auto collect = [&](Shard* s) {
+    std::vector<net::ResultMsg> results;
+    const bool ok = s->client->drain(&results);
+    match_pongs(s);
+    bool damaged = false;
+    for (net::ResultMsg& r : results) {
+      auto it = s->inflight.find(r.ticket);
+      if (it == s->inflight.end()) {
+        // A ticket this shard no longer holds: a duplicated frame, or a
+        // verdict that outlived its lease. Never double-voted.
+        ++s->m.late_results;
+        continue;
+      }
+      const std::size_t i = it->second;
+      s->inflight.erase(it);
+      if (state[i].done || state[i].lease != r.ticket) {
+        ++s->m.late_results;
+        continue;
+      }
+      verify::EvalResult er;
+      if (!runner::decode_result(r.wire_result, &er)) {
+        // The frame CRC passed but the payload is semantically bad:
+        // treat it like transport damage and reroute the trial.
+        state[i].in_flight = false;
+        damaged = true;
+        continue;
+      }
+      runner::TrialOutcome& o = outcomes[i];
+      o.result = std::move(er);
+      o.wall_ns = r.wall_ns;
+      o.worker_deaths = r.worker_deaths;
+      o.quarantined = (r.flags & net::kResultQuarantined) != 0;
+      o.settled = o.quarantined || o.result.failure_class ==
+                                       verify::FailureClass::kInternalError;
+      o.served = true;
+      state[i].done = true;
+      state[i].in_flight = false;
+      --remaining;
+      ++s->m.trials;
+      s->m.busy_ns += r.wall_ns;
+      if ((r.flags & net::kResultCacheHit) != 0) ++s->m.cache_hits;
+    }
+    return ok && !damaged;
+  };
+  // A send to the shard failed: count what it delivered, then fail it.
+  const auto drain_and_fail = [&](Shard* s) {
+    collect(s);
+    fail_shard(s);
+  };
+
   // Heartbeat pass: ping every live shard whose period elapsed. A shard
   // with the previous ping still unanswered when the next comes due has
   // missed a beat; missing kMissedBeatLimit in a row is death -- slow is
@@ -299,7 +353,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       ping.nonce = s.next_nonce++;
       ping.t_send_ns = now_ns();
       if (!s.client->ping(ping)) {
-        fail_shard(&s);
+        drain_and_fail(&s);
         continue;
       }
       s.pending_pings.emplace(ping.nonce, ping.t_send_ns);
@@ -323,7 +377,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
         continue;
       }
       if (!s.client->request_digest()) {
-        fail_shard(&s);
+        drain_and_fail(&s);
         continue;
       }
       s.digest_inflight = true;
@@ -372,7 +426,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       m.key = jobs[i].key;
       m.config_key = jobs[i].config->canonical_key();
       if (!s->client->submit(m)) {
-        fail_shard(s);
+        drain_and_fail(s);
         break;  // re-plan against the surviving fleet
       }
       s->inflight.emplace(m.ticket, i);
@@ -404,48 +458,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
     // ---- Drain results from every live shard. ----
     for (Shard& s : shards_) {
       if (s.client == nullptr) continue;
-      std::vector<net::ResultMsg> results;
-      const bool ok = s.client->drain(&results);
-      match_pongs(&s);
-      bool damaged = false;
-      for (net::ResultMsg& r : results) {
-        auto it = s.inflight.find(r.ticket);
-        if (it == s.inflight.end()) {
-          // A ticket this shard no longer holds: a duplicated frame, or a
-          // verdict that outlived its lease. Never double-voted.
-          ++s.m.late_results;
-          continue;
-        }
-        const std::size_t i = it->second;
-        s.inflight.erase(it);
-        if (state[i].done || state[i].lease != r.ticket) {
-          ++s.m.late_results;
-          continue;
-        }
-        verify::EvalResult er;
-        if (!runner::decode_result(r.wire_result, &er)) {
-          // The frame CRC passed but the payload is semantically bad:
-          // treat it like transport damage and reroute the trial.
-          state[i].in_flight = false;
-          damaged = true;
-          continue;
-        }
-        runner::TrialOutcome& o = outcomes[i];
-        o.result = std::move(er);
-        o.wall_ns = r.wall_ns;
-        o.worker_deaths = r.worker_deaths;
-        o.quarantined = (r.flags & net::kResultQuarantined) != 0;
-        o.settled = o.quarantined || o.result.failure_class ==
-                                         verify::FailureClass::kInternalError;
-        o.served = true;
-        state[i].done = true;
-        state[i].in_flight = false;
-        --remaining;
-        ++s.m.trials;
-        s.m.busy_ns += r.wall_ns;
-        if ((r.flags & net::kResultCacheHit) != 0) ++s.m.cache_hits;
-      }
-      if (!ok || damaged) {
+      if (!collect(&s)) {
         fail_shard(&s);
         continue;
       }

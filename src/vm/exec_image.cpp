@@ -1,5 +1,6 @@
 #include "vm/exec_image.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -349,6 +350,24 @@ MicroOp lower_instr(const Instr& ins) {
   return u;
 }
 
+namespace {
+
+/// Index of the instruction at `addr` in `code` (sorted by address, as
+/// decode_all and splicing produce it), or ExecutableImage::kNoIndex.
+std::size_t find_addr(const std::vector<Instr>& code, std::uint64_t addr) {
+  const auto it = std::lower_bound(
+      code.begin(), code.end(), addr,
+      [](const Instr& ins, std::uint64_t a) { return ins.addr < a; });
+  if (it == code.end() || it->addr != addr) return ExecutableImage::kNoIndex;
+  return static_cast<std::size_t>(it - code.begin());
+}
+
+}  // namespace
+
+std::size_t ExecutableImage::index_of(std::uint64_t addr) const {
+  return find_addr(code_, addr);
+}
+
 std::shared_ptr<const ExecutableImage> ExecutableImage::build(
     program::Image image) {
   // shared_ptr<ExecutableImage> first so members stay mutable during
@@ -358,25 +377,21 @@ std::shared_ptr<const ExecutableImage> ExecutableImage::build(
   exec->image_.validate();
   exec->code_ = arch::decode_all(exec->image_.code, exec->image_.code_base);
   if (exec->code_.empty()) throw VmError("image has no code");
-  exec->index_of_addr_.reserve(exec->code_.size() * 2);
-  for (std::size_t i = 0; i < exec->code_.size(); ++i) {
-    exec->index_of_addr_[exec->code_[i].addr] =
-        static_cast<std::uint32_t>(i);
-  }
-  // Resolve branch/call targets to instruction indices once.
+  // Resolve branch/call targets to instruction indices once (targets are
+  // looked up in the still-unmodified address column).
   for (Instr& ins : exec->code_) {
     const auto& info = arch::opcode_info(ins.op);
     if (info.is_branch || info.is_call) {
       const auto target = static_cast<std::uint64_t>(ins.src.imm);
-      auto it = exec->index_of_addr_.find(target);
-      if (it == exec->index_of_addr_.end()) {
+      const std::size_t idx = find_addr(exec->code_, target);
+      if (idx == kNoIndex) {
         throw VmError(strformat(
             "control transfer at 0x%llx targets 0x%llx, which is not an "
             "instruction boundary",
             static_cast<unsigned long long>(ins.addr),
             static_cast<unsigned long long>(target)));
       }
-      ins.src.imm = it->second;
+      ins.src.imm = static_cast<std::int64_t>(idx);
     }
   }
   const std::size_t entry = exec->index_of(exec->image_.entry);
@@ -401,11 +416,6 @@ std::shared_ptr<const CodeSegment> CodeSegment::build(
   // Decoding at image base 0 makes every instr addr a local byte offset.
   seg->code_ = arch::decode_all(layout.bytes, /*image_base=*/0);
 
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_off;
-  index_of_off.reserve(seg->code_.size() * 2);
-  for (std::size_t i = 0; i < seg->code_.size(); ++i) {
-    index_of_off[seg->code_[i].addr] = static_cast<std::uint32_t>(i);
-  }
   for (std::size_t i = 0; i < seg->code_.size(); ++i) {
     Instr& ins = seg->code_[i];
     const auto& info = arch::opcode_info(ins.op);
@@ -417,15 +427,15 @@ std::shared_ptr<const CodeSegment> CodeSegment::build(
         // first instruction -- or rejected -- at splice time.
         ins.src.imm = static_cast<std::int64_t>(seg->code_.size());
       } else {
-        auto it = index_of_off.find(target);
-        if (it == index_of_off.end()) {
+        const std::size_t idx = find_addr(seg->code_, target);
+        if (idx == ExecutableImage::kNoIndex) {
           throw VmError(strformat(
               "branch at local offset 0x%llx targets local offset 0x%llx, "
               "which is not an instruction boundary in its segment",
               static_cast<unsigned long long>(ins.addr),
               static_cast<unsigned long long>(target)));
         }
-        ins.src.imm = it->second;
+        ins.src.imm = static_cast<std::int64_t>(idx);
       }
       seg->branch_sites_.push_back(static_cast<std::uint32_t>(i));
     } else if (info.is_call) {
@@ -466,7 +476,6 @@ std::shared_ptr<const ExecutableImage> ExecutableImage::build_spliced(
 
   exec->code_.reserve(total);
   exec->uops_.reserve(total);
-  exec->index_of_addr_.reserve(total * 2);
   for (std::size_t f = 0; f < n; ++f) {
     const CodeSegment& seg = *segments[f];
     const std::uint64_t base = seg_addr[f];
@@ -475,9 +484,7 @@ std::shared_ptr<const ExecutableImage> ExecutableImage::build_spliced(
     exec->uops_.insert(exec->uops_.end(), seg.uops_.begin(),
                        seg.uops_.end());
     for (std::size_t i = instr_base[f]; i < instr_base[f + 1]; ++i) {
-      Instr& ins = exec->code_[i];
-      ins.addr += base;
-      exec->index_of_addr_[ins.addr] = static_cast<std::uint32_t>(i);
+      exec->code_[i].addr += base;
     }
   }
 

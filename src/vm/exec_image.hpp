@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/instr.hpp"
@@ -134,9 +133,9 @@ class CodeSegment {
   const std::vector<MicroOp>& uops() const { return uops_; }
 
   /// Lazily-filled native-code cache (see jit/cache.hpp): the JIT engine
-  /// compiles a segment's local-form micro-ops at most once per profile
-  /// variant, so delta trials that re-splice shared segments re-JIT only
-  /// the dirty functions.
+  /// compiles and places a segment's local-form micro-ops at most once per
+  /// profile variant, so delta trials that re-splice shared segments re-JIT
+  /// only the dirty functions.
   jit::BlobCache& jit_cache() const { return jit_cache_; }
 
  private:
@@ -155,7 +154,7 @@ class CodeSegment {
 
 /// An immutable, shareable execution form of a program::Image: decoded
 /// instructions with control-transfer targets resolved to instruction
-/// indices, the address->index map, and the lowered micro-op stream.
+/// indices, and the lowered micro-op stream.
 /// Build once per image; share freely across Machines and threads.
 class ExecutableImage {
  public:
@@ -188,12 +187,9 @@ class ExecutableImage {
 
   std::size_t entry_index() const { return entry_index_; }
 
-  /// Instruction index for an address, or kNoIndex.
-  std::size_t index_of(std::uint64_t addr) const {
-    auto it = index_of_addr_.find(addr);
-    return it == index_of_addr_.end() ? kNoIndex
-                                      : static_cast<std::size_t>(it->second);
-  }
+  /// Instruction index for an address, or kNoIndex (a binary search:
+  /// code() is sorted by address).
+  std::size_t index_of(std::uint64_t addr) const;
 
   /// Segments this image was spliced from (empty when built from scratch).
   /// Holding them keeps the structural sharing alive for diagnostics.
@@ -207,9 +203,9 @@ class ExecutableImage {
     return segment_first_index_;
   }
 
-  /// Lazily-filled linked-native-code cache: the JIT engine links a whole
-  /// image at most once per profile variant, so a warm ImageCache hit
-  /// carries compiled code along with the predecode.
+  /// Lazily-filled JIT link cache: the JIT engine links a whole image at
+  /// most once per profile variant, so a warm ImageCache hit carries the
+  /// link table along with the predecode.
   jit::ImageJitCache& jit_cache() const { return jit_cache_; }
 
  private:
@@ -218,7 +214,6 @@ class ExecutableImage {
   program::Image image_;
   std::vector<arch::Instr> code_;
   std::vector<MicroOp> uops_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_addr_;
   std::size_t entry_index_ = 0;
   std::vector<std::shared_ptr<const CodeSegment>> segments_;
   std::vector<std::size_t> segment_first_index_;

@@ -1,14 +1,15 @@
-// Lazily-filled JIT compilation caches embedded in the predecode layer.
+// Lazily-filled JIT caches embedded in the predecode layer.
 //
 // A CodeSegment is immutable and shared (by ExecutableImages that splice it
-// and by the IncrementalPatcher's per-signature variant table), so a blob of
-// native code compiled from its micro-ops is reusable everywhere the segment
-// is: a delta trial that re-splices mostly-unchanged functions re-JITs only
-// the dirty ones. Likewise an ExecutableImage is shared (ImageCache, forked
-// workers), so the linked whole-image code buffer is compiled at most once
-// per image and profile variant. Both caches live behind a mutex on the
-// otherwise-const owner; exec_image.hpp embeds these handles by value, which
-// is why this header stays free of the emitter/linker machinery.
+// and by the IncrementalPatcher's per-signature variant table), so the blob
+// compiled from its micro-ops -- placed once in the code arena, and read
+// through a per-image link table -- serves every image that splices it: a
+// delta trial compiles only its dirty functions. An ExecutableImage is
+// shared too (ImageCache, forked workers), so its link (link table plus
+// native address table, no code) is built at most once per profile
+// variant. Both caches live behind a mutex on the otherwise-const owner;
+// exec_image.hpp embeds these handles by value, which is why this header
+// stays free of the emitter/linker machinery.
 #pragma once
 
 #include <memory>

@@ -1,4 +1,4 @@
-// MicroOp stream -> position-independent x86-64 blob.
+// MicroOp stream -> x86-64 blob, placed once in the code arena.
 //
 // Second-wave optimizing compiler. Every guest instruction still begins
 // with the interpreter's exact dispatch sequence (budget check, optional
@@ -32,11 +32,13 @@
 //
 // Trap-shaped paths (bounds, tag sentinel, budget, divide/cvtt range)
 // branch to per-site out-of-line stubs emitted after the instruction
-// bodies; the stubs spill any promoted registers, load the faulting pc as
-// a link-patched immediate and call the C++ helpers through the context
-// block. Anything still unspecialized goes through the generic-exec
-// helper, which runs the micro-op interpreter's own handler for exactly
-// one instruction -- lowering is total and the engines cannot drift.
+// bodies; a stub spills any promoted registers and loads its operands and
+// local pc, then jumps to a tail shared by its kind, which adds the
+// function's first index from its FuncSlot and calls the C++ helper
+// through the context block. Anything still unspecialized goes through the
+// generic-exec helper, which runs the micro-op interpreter's own handler
+// for exactly one instruction -- lowering is total and the engines cannot
+// drift.
 //
 // Ordering subtleties are load-bearing and mirror machine.cpp exactly:
 // bounds traps fire before tag traps on the same load, the tag check on the
@@ -81,6 +83,7 @@ constexpr std::int32_t kCtxHelpOpTrap = 144;
 constexpr std::int32_t kCtxIntrinFn = 152;
 constexpr std::int32_t kCtxMemLimit8 = 160;
 constexpr std::int32_t kCtxMemLimit4 = 168;
+constexpr std::int32_t kCtxFuncs = 176;
 static_assert(offsetof(JitContext, mem_size) == kCtxMemSize);
 static_assert(offsetof(JitContext, mem_limit8) == kCtxMemLimit8);
 static_assert(offsetof(JitContext, mem_limit4) == kCtxMemLimit4);
@@ -92,6 +95,13 @@ static_assert(offsetof(JitContext, help_ret) == kCtxHelpRet);
 static_assert(offsetof(JitContext, help_intrin) == kCtxHelpIntrin);
 static_assert(offsetof(JitContext, help_op_trap) == kCtxHelpOpTrap);
 static_assert(offsetof(JitContext, intrin_fn) == kCtxIntrinFn);
+static_assert(offsetof(JitContext, funcs) == kCtxFuncs);
+
+// FuncSlot field displacements (slot f sits at f * sizeof(FuncSlot)).
+constexpr std::int32_t kSlotEntry = offsetof(FuncSlot, entry);
+constexpr std::int32_t kSlotEnd = offsetof(FuncSlot, end);
+constexpr std::int32_t kSlotByteBase = offsetof(FuncSlot, byte_base);
+constexpr std::int32_t kSlotFirstIndex = offsetof(FuncSlot, first_index);
 
 constexpr bool fits_i32(std::int64_t v) {
   return v >= INT32_MIN && v <= INT32_MAX;
@@ -336,7 +346,7 @@ class Compiler {
   Compiler(const std::vector<MicroOp>& uops, CompileMode mode)
       : uops_(uops), mode_(mode), regalloc_on_(regalloc_enabled()) {}
 
-  std::shared_ptr<const SegmentBlob> run() {
+  std::shared_ptr<SegmentBlob> run() {
     analyse();
     auto blob = std::make_shared<SegmentBlob>();
     const std::size_t n = uops_.size();
@@ -379,22 +389,32 @@ class Compiler {
     set_alloc(-1);
     if (spill_id_[n] >= 0)
       emit_spills(allocs_[static_cast<std::size_t>(spill_id_[n])]);
-    // Falling off the last instruction continues at the next one in program
-    // order: the following segment's entry, or the image's off-end stub.
-    jmp_target(static_cast<std::uint64_t>(n));
+    // Falling off the last instruction -- and every branch to the
+    // function's end -- continues at the next instruction in program
+    // order: the following function's entry, or the image's off-end stub.
+    e_.bind(end_tail_);
+    e_.mov_rm(RAX, R15, kCtxFuncs);
+    e_.jmp_m(RAX, slot_disp(mode_.func, kSlotEnd));
     emit_tails();
     emit_thunks();
     emit_stubs();
-    blob->code = std::move(e_.code);
-    blob->relocs = std::move(relocs_);
+    for (const auto& [at, target] : branch_sites_) {
+      e_.patch32(at, instr_off_[target] - (at + 4));
+    }
     blob->instr_off = std::move(instr_off_);
+    blob->func = mode_.func;
     blob->stats = stats_;
     return blob;
   }
 
+  /// The finished machine code (valid after run()).
+  const std::vector<std::uint8_t>& code() const { return e_.code; }
+
  private:
   Emitter e_;
-  std::vector<Reloc> relocs_;
+  /// (rel32 offset, local target index) of every branch inside the blob,
+  /// patched once all instruction offsets are known.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> branch_sites_;
   std::vector<std::uint32_t> instr_off_;
   const std::vector<MicroOp>& uops_;
   CompileMode mode_;
@@ -404,6 +424,7 @@ class Compiler {
 
   Emitter::Label exit_tail_;  // jmp epilogue (helper already set the status)
   Emitter::Label halt_tail_;  // status = kExitHalt, then epilogue
+  Emitter::Label end_tail_;   // jmp [funcs + slot + end]
 
   // --- analysis: flags liveness, fusion, block allocation ------------------
 
@@ -723,23 +744,40 @@ class Compiler {
 
   std::uint32_t pc32() const { return static_cast<std::uint32_t>(pc_); }
 
-  // --- reloc-carrying emission helpers -------------------------------------
+  // --- link-table access and guest branches ------------------------------
 
-  void mov_ri32_reloc(int reg, Reloc::Kind kind, std::uint64_t value) {
-    e_.rex(false, 0, 0, reg);
-    e_.u8(static_cast<std::uint8_t>(0xB8 | (reg & 7)));
-    relocs_.push_back({kind, static_cast<std::uint32_t>(e_.size()), value});
-    e_.u32(0);
+  /// Displacement of `field` of FuncSlot `func` off the table base.
+  static std::int32_t slot_disp(std::uint64_t func, std::int32_t field) {
+    const std::uint64_t d = func * sizeof(FuncSlot) + field;
+    FPMIX_CHECK(d <= INT32_MAX);
+    return static_cast<std::int32_t>(d);
   }
+  /// This function's global pc for local index `local` into `reg`: its
+  /// FuncSlot's first index plus `local`. Clobbers only `reg` (mov/lea:
+  /// host flags survive).
+  void load_pc(int reg, std::uint64_t local) {
+    FPMIX_CHECK(fits_i32(static_cast<std::int64_t>(local)));
+    e_.mov_rm(reg, R15, kCtxFuncs);
+    e_.mov_rm(reg, reg, slot_disp(mode_.func, kSlotFirstIndex));
+    if (local != 0) e_.lea_bd(reg, reg, static_cast<std::int32_t>(local));
+  }
+  /// Guest branch to local index `target`: a direct rel32 inside the blob,
+  /// or the end tail for a branch to the function's end.
   void jmp_target(std::uint64_t target) {
-    const std::size_t at = e_.jmp_reloc();
-    relocs_.push_back(
-        {Reloc::Kind::kRel32Target, static_cast<std::uint32_t>(at), target});
+    if (target == uops_.size()) {
+      e_.jmp(end_tail_);
+      return;
+    }
+    branch_sites_.emplace_back(static_cast<std::uint32_t>(e_.jmp_site()),
+                               static_cast<std::uint32_t>(target));
   }
   void jcc_target(int cc, std::uint64_t target) {
-    const std::size_t at = e_.jcc_reloc(cc);
-    relocs_.push_back(
-        {Reloc::Kind::kRel32Target, static_cast<std::uint32_t>(at), target});
+    if (target == uops_.size()) {
+      e_.jcc(cc, end_tail_);
+      return;
+    }
+    branch_sites_.emplace_back(static_cast<std::uint32_t>(e_.jcc_site(cc)),
+                               static_cast<std::uint32_t>(target));
   }
 
   // --- promoted-register access --------------------------------------------
@@ -858,10 +896,11 @@ class Compiler {
       e_.jcc(CC_AE, budget_stubs_.back().label);
     }
     if (mode_.profile) {
-      e_.mov_rm(RAX, R15, kCtxCounts);
-      const std::size_t at = e_.inc_m_disp32(RAX);
-      relocs_.push_back(
-          {Reloc::Kind::kDisp32Counts, static_cast<std::uint32_t>(at), pc});
+      // ++counts[first_index + pc]: rax/rcx are free at an instruction start.
+      e_.mov_rm(RAX, R15, kCtxFuncs);
+      e_.mov_rm(RAX, RAX, slot_disp(mode_.func, kSlotFirstIndex));
+      e_.mov_rm(RCX, R15, kCtxCounts);
+      e_.inc_mx(RCX, RAX, 3, static_cast<std::int32_t>(pc * 8));
     }
     e_.inc_r(R14);
   }
@@ -986,7 +1025,7 @@ class Compiler {
   /// arrays are current when the helper runs.
   void generic_exec() {
     e_.mov_mr(R15, kCtxRetired, R14);
-    mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
+    load_pc(RSI, pc_);
     e_.mov_rr(RDI, R15);
     e_.call_m(R15, kCtxHelpExec);
     e_.test_rr(RAX, RAX);
@@ -1063,22 +1102,17 @@ class Compiler {
         e_.mov_mr(R12, kSpOff, RAX);
         bounds(8, /*is_store=*/true);
         if (mode_.local) {
-          // Return address: local byte offset, rebased at link time.
-          e_.rex(true, 0, 0, RDX);
-          e_.u8(static_cast<std::uint8_t>(0xB8 | RDX));
-          relocs_.push_back({Reloc::Kind::kAbs64RetAddr,
-                             static_cast<std::uint32_t>(e_.size()), u.aux});
-          e_.u64(0);
+          // Return address: the function's byte base plus the local return
+          // offset; imm = callee function index, entered via its slot.
+          FPMIX_CHECK(fits_i32(static_cast<std::int64_t>(u.aux)));
+          e_.mov_rm(RCX, R15, kCtxFuncs);
+          e_.mov_rm(RDX, RCX, slot_disp(mode_.func, kSlotByteBase));
+          e_.lea_bd(RDX, RDX, static_cast<std::int32_t>(u.aux));
+          e_.mov_mxr(R13, RAX, 0, RDX);
+          e_.jmp_m(RCX, slot_disp(tgt, kSlotEntry));
         } else {
           e_.mov_ri64(RDX, u.aux);
-        }
-        e_.mov_mxr(R13, RAX, 0, RDX);
-        if (mode_.local) {
-          // imm = callee function index; resolved via the link placement.
-          const std::size_t at = e_.jmp_reloc();
-          relocs_.push_back({Reloc::Kind::kRel32Call,
-                             static_cast<std::uint32_t>(at), tgt});
-        } else {
+          e_.mov_mxr(R13, RAX, 0, RDX);
           jmp_target(tgt);  // imm = callee's global instruction index
         }
         break;
@@ -1094,7 +1128,7 @@ class Compiler {
         e_.mov_mr(R15, kCtxRetired, R14);
         e_.mov_rr(RDI, R15);
         e_.mov_rr(RSI, RDX);
-        mov_ri32_reloc(RDX, Reloc::Kind::kImm32Pc, pc_);
+        load_pc(RDX, pc_);
         e_.call_m(R15, kCtxHelpRet);
         e_.test_rr(RAX, RAX);
         e_.jcc(CC_E, exit_tail_);
@@ -1713,7 +1747,7 @@ class Compiler {
   /// touch neither flags nor pc; control always falls through).
   void intrin_helper() {
     e_.mov_mr(R15, kCtxRetired, R14);
-    mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
+    load_pc(RSI, pc_);
     e_.mov_rr(RDI, R15);
     e_.call_m(R15, kCtxHelpIntrin);
     e_.test_rr(RAX, RAX);
@@ -2165,58 +2199,78 @@ class Compiler {
     }
   }
 
+  /// reg += this function's first global index (a stub tail turning the
+  /// local pc its stub loaded into the global one). Clobbers `tmp`.
+  void globalize_pc(int reg, int tmp) {
+    e_.mov_rm(tmp, R15, kCtxFuncs);
+    e_.alu_rm(Alu::kAdd, reg, tmp, slot_disp(mode_.func, kSlotFirstIndex));
+  }
+
+  /// Every stub loads its own operands and local pc, then jumps to a tail
+  /// shared by all stubs of its kind, which globalizes the pc and leaves
+  /// through the helper or the epilogue. The tails need no flags and no
+  /// promoted registers (each stub spilled its own first).
   void emit_stubs() {
+    Emitter::Label budget_tail, near_tail, mem_tail, tag_tail, op_tail;
     // Budget stubs fire only from uncovered code, where nothing is promoted
     // and the arrays are always current: no spill.
     for (auto& s : budget_stubs_) {
       e_.bind(s.label);
-      mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxExitPc, RAX);
-      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudget);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RAX, s.pc);
+      e_.jmp(budget_tail);
     }
     // Near stubs fire from a block-entry guard, before the block's loads:
     // nothing of the block has run, the arrays are current, and the driver
     // interprets from pc to the exact budget boundary.
     for (auto& s : near_stubs_) {
       e_.bind(s.label);
-      mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxExitPc, RAX);
-      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudgetNear);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RAX, s.pc);
+      e_.jmp(near_tail);
     }
     for (auto& s : mem_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);  // plain movs: RAX (faulting address) survives
       e_.mov_rr(RSI, RAX);
       e_.mov_ri32(RDX, s.bytes);
-      mov_ri32_reloc(RCX, Reloc::Kind::kImm32Pc, s.pc);
+      e_.mov_ri32(RCX, s.pc);
       e_.mov_ri32(R8, s.is_store ? 1 : 0);
-      e_.mov_mr(R15, kCtxRetired, R14);
-      e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpMemTrap);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.jmp(mem_tail);
     }
     for (auto& s : tag_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);  // preserves the bits register (rdx/rcx)
       if (s.bits_reg != RSI) e_.mov_rr(RSI, s.bits_reg);
-      mov_ri32_reloc(RDX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxRetired, R14);
-      e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpTagTrap);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RDX, s.pc);
+      e_.jmp(tag_tail);
     }
     for (auto& s : op_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);
-      mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, s.pc);
+      e_.mov_ri32(RSI, s.pc);
       e_.mov_ri32(RDX, s.msg);
+      e_.jmp(op_tail);
+    }
+    const auto exit_with = [&](Emitter::Label& tail, std::uint32_t status) {
+      e_.bind(tail);
+      globalize_pc(RAX, RCX);
+      e_.mov_mr(R15, kCtxExitPc, RAX);
+      e_.mov_mi32_d(R15, kCtxExitStatus, status);
+      e_.jmp_m(R15, kCtxEpilogue);
+    };
+    const auto call_helper = [&](Emitter::Label& tail, int pc_reg,
+                                 std::int32_t helper) {
+      e_.bind(tail);
+      globalize_pc(pc_reg, RAX);
       e_.mov_mr(R15, kCtxRetired, R14);
       e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpOpTrap);
+      e_.call_m(R15, helper);
       e_.jmp_m(R15, kCtxEpilogue);
-    }
+    };
+    if (!budget_stubs_.empty()) exit_with(budget_tail, kExitBudget);
+    if (!near_stubs_.empty()) exit_with(near_tail, kExitBudgetNear);
+    if (!mem_stubs_.empty()) call_helper(mem_tail, RCX, kCtxHelpMemTrap);
+    if (!tag_stubs_.empty()) call_helper(tag_tail, RDX, kCtxHelpTagTrap);
+    if (!op_stubs_.empty()) call_helper(op_tail, RSI, kCtxHelpOpTrap);
   }
 };
 
@@ -2251,11 +2305,15 @@ void reset_lowering_totals() {
 
 std::shared_ptr<const SegmentBlob> compile_stream(
     const std::vector<MicroOp>& uops, CompileMode mode) {
-  auto blob = Compiler(uops, mode).run();
+  Compiler c(uops, mode);
+  auto blob = c.run();
   {
     std::lock_guard<std::mutex> lock(g_totals_mu);
     g_totals.add(blob->stats);
   }
+  blob->code_ = place_code(c.code());
+  if (blob->code_ == nullptr) return nullptr;
+  blob->size_ = c.code().size();
   return blob;
 }
 

@@ -7,9 +7,9 @@
 // compares, converts, and the cmpsd/andpd blend used to reproduce the
 // interpreter's min/max selection semantics exactly).
 //
-// Labels are single-use-bind, multi-use-reference rel32 fixups; everything
-// that crosses blob boundaries goes through jit::Reloc instead and is
-// patched at link time.
+// Labels are single-use-bind, multi-use-reference rel32 fixups. Nothing is
+// patched after a blob is placed: whatever crosses a function boundary is
+// read at run time from the image's FuncSlot table.
 #pragma once
 
 #include <cstdint>
@@ -60,18 +60,23 @@ class Emitter {
 
   struct Label {
     std::ptrdiff_t pos = -1;
-    std::vector<std::size_t> fixups;  // offsets of pending rel32 sites
+    /// Pending rel32 sites chain through the code itself: each holds the
+    /// offset of the previous one plus 1, and 0 ends the chain (no
+    /// allocation per forward reference).
+    std::uint32_t chain = 0;
   };
 
   void bind(Label& l) {
     FPMIX_CHECK(l.pos < 0);
     l.pos = static_cast<std::ptrdiff_t>(code.size());
-    for (const std::size_t at : l.fixups) {
+    for (std::uint32_t link = l.chain; link != 0;) {
+      const std::size_t at = link - 1;
+      std::memcpy(&link, code.data() + at, 4);
       patch32(at, static_cast<std::uint32_t>(l.pos -
                                              static_cast<std::ptrdiff_t>(at) -
                                              4));
     }
-    l.fixups.clear();
+    l.chain = 0;
   }
 
   void rel32_to(Label& l) {
@@ -79,8 +84,9 @@ class Emitter {
       u32(static_cast<std::uint32_t>(
           l.pos - static_cast<std::ptrdiff_t>(code.size()) - 4));
     } else {
-      l.fixups.push_back(code.size());
-      u32(0);
+      const std::size_t at = code.size();
+      u32(l.chain);
+      l.chain = static_cast<std::uint32_t>(at + 1);
     }
   }
 
@@ -271,17 +277,6 @@ class Emitter {
   // --- inc / misc ----------------------------------------------------------
 
   void inc_r(int reg) { rex(true, 0, 0, reg); u8(0xFF); modrm(3, 0, reg); }
-  /// inc qword [base + disp32] with a forced 4-byte displacement (so the
-  /// profile-counter reloc always has a full patchable field). Returns the
-  /// offset of the disp32.
-  std::size_t inc_m_disp32(int base) {
-    rex(true, 0, 0, base); u8(0xFF);
-    modrm(2, 0, (base & 7) == RSP ? 4 : base);
-    if ((base & 7) == RSP) u8(static_cast<std::uint8_t>((4 << 3) | (base & 7)));
-    const std::size_t at = code.size();
-    u32(0);
-    return at;
-  }
   void inc_mx(int base, int index, int scale, std::int32_t disp) {
     // inc qword [base + index*2^scale + disp]
     rex(true, 0, index, base); u8(0xFF); mem_bisd(0, base, index, scale, disp);
@@ -316,15 +311,16 @@ class Emitter {
   void jcc(int cc, Label& l) {
     u8(0x0F); u8(static_cast<std::uint8_t>(0x80 | cc)); rel32_to(l);
   }
-  /// jcc with the rel32 left for a link-time Reloc; returns its offset.
-  std::size_t jcc_reloc(int cc) {
+  /// jcc/jmp with the rel32 left for the caller to patch once the target's
+  /// offset is known; returns the offset of the rel32.
+  std::size_t jcc_site(int cc) {
     u8(0x0F); u8(static_cast<std::uint8_t>(0x80 | cc));
     const std::size_t at = code.size();
     u32(0);
     return at;
   }
   void jmp(Label& l) { u8(0xE9); rel32_to(l); }
-  std::size_t jmp_reloc() {
+  std::size_t jmp_site() {
     u8(0xE9);
     const std::size_t at = code.size();
     u32(0);
@@ -460,5 +456,9 @@ class Emitter {
     rex(true, 0, 0, reg); u8(0x0F); u8(0xBA); modrm(3, 6, reg); u8(bit);
   }
 };
+
+/// Copies finished code into the process-wide code arena and seals it
+/// read+execute (runtime.cpp). Returns nullptr when the arena cannot map.
+const std::uint8_t* place_code(const std::vector<std::uint8_t>& code);
 
 }  // namespace fpmix::vm::jit

@@ -3,13 +3,31 @@
 // Shape of the pipeline (mirrors the predecode layer one level down):
 //
 //   CodeSegment uops (local form) --compile_stream--> SegmentBlob
-//     position-independent native code + relocation list, cached on the
-//     segment (jit::BlobCache) so delta trials re-JIT only dirty functions;
-//   SegmentBlobs --link_image--> JitImage
-//     blobs copied into one W^X buffer with all relocations resolved
-//     against the image's segment bases, plus a per-instruction native
-//     address table for resume/ret/fallback re-entry. Cached on the
-//     ExecutableImage, so a warm ImageCache hit carries compiled code.
+//     native code for ONE function, placed once, when it is compiled, in
+//     the process-wide W^X code arena and never moved or patched again.
+//     Cached on the segment (jit::BlobCache), so a delta trial compiles
+//     only its dirty functions and re-uses every other blob as it stands;
+//   SegmentBlobs --JitImage::link--> JitImage
+//     no code: a per-function link table (FuncSlot: entry, end, byte base,
+//     first index) and a per-instruction native address table for
+//     resume/ret/fallback re-entry. O(functions + instructions) stores.
+//     Cached on the ExecutableImage, so a warm ImageCache hit carries it.
+//
+// Placed code is position-independent with respect to its image. Branches
+// inside a function are resolved when the blob is compiled; everything that
+// depends on where the function sits in an image -- calls to other
+// functions, the fall-through past the function's end, return addresses,
+// the global pcs handed to helpers and the profile counter index -- is read
+// at run time from the image's FuncSlot table through JitContext::funcs.
+// A blob is therefore compiled for one function index and serves every
+// image that splices its segment at that index.
+//
+// The arena is made of MAP_PRIVATE anonymous chunks, and every blob owns
+// whole pages: placing one writes its pages while they are read-write, then
+// flips them read+execute with one mprotect; a dead blob's pages go back to
+// read-write and are reused. No page is ever writable and executable at
+// once, and a fork()ed child gets private copy-on-write copies, so parent
+// and child never write pages the other executes.
 //
 // Compiled code keeps VM state in host registers by role, not by copy: the
 // register file, xmm file and memory stay in the Machine's own arrays, and
@@ -39,6 +57,8 @@
 #include "vm/exec_image.hpp"
 
 namespace fpmix::vm::jit {
+
+struct FuncSlot;
 
 // ---------------------------------------------------------------------------
 // Runtime context shared between compiled code and the C++ helpers.
@@ -87,6 +107,7 @@ struct JitContext {
   // mem_size < N (every address faults).
   std::uint64_t mem_limit8;        // +160 mem_size - 7, saturated to 0
   std::uint64_t mem_limit4;        // +168 mem_size - 3, saturated to 0
+  const FuncSlot* funcs;           // +176 the image's per-function link table
 };
 static_assert(offsetof(JitContext, retired) == 32);
 static_assert(offsetof(JitContext, tag_cmp) == 56);
@@ -99,6 +120,7 @@ static_assert(offsetof(JitContext, help_op_trap) == 144);
 static_assert(offsetof(JitContext, intrin_fn) == 152);
 static_assert(offsetof(JitContext, mem_limit8) == 160);
 static_assert(offsetof(JitContext, mem_limit4) == 168);
+static_assert(offsetof(JitContext, funcs) == 176);
 
 /// help_op_trap message selectors (kept in one place so the helper composes
 /// byte-identical interpreter trap text).
@@ -136,25 +158,8 @@ constexpr bool intrinsic_inlinable(std::uint16_t id) {
 }
 
 // ---------------------------------------------------------------------------
-// Position-independent segment blobs.
+// Placed segment blobs.
 // ---------------------------------------------------------------------------
-
-/// Link-time patch against a blob copied to its final image position. Every
-/// kind is an "add the image-assigned base" fix, so one compiled blob
-/// serves any splice position -- the native analogue of CodeSegment's
-/// branch_sites_/call_sites_.
-struct Reloc {
-  enum class Kind : std::uint8_t {
-    kRel32Target,   // rel32 -> native address of instruction (ibase + value)
-    kRel32Call,     // rel32 -> native entry of function index `value`
-    kAbs64RetAddr,  // imm64 return address: value + segment byte base
-    kImm32Pc,       // imm32 global pc: value + ibase
-    kDisp32Counts,  // disp32 into the profile array: (value + ibase) * 8
-  };
-  Kind kind;
-  std::uint32_t offset;  // byte offset of the patch site within the blob
-  std::uint64_t value;
-};
 
 /// How each micro-op was lowered, tallied per op family: "native" = inline
 /// host code, "helper" = out-of-line C++ helper on the hot path
@@ -212,19 +217,6 @@ const char* lowering_family_name(int family);
 LoweringStats lowering_totals();
 void reset_lowering_totals();
 
-/// Native code compiled from one micro-op stream in local form. Immutable
-/// and position-independent: link_image copies it anywhere and applies the
-/// relocations.
-class SegmentBlob {
- public:
-  std::vector<std::uint8_t> code;
-  std::vector<Reloc> relocs;
-  /// Byte offset of each instruction's native entry (size = uop count).
-  std::vector<std::uint32_t> instr_off;
-  /// Per-blob lowering census (also accumulated into lowering_totals()).
-  LoweringStats stats;
-};
-
 /// Compilation mode for a stream's control-transfer immediates.
 struct CompileMode {
   /// Local form (CodeSegment): call imm = callee function index, call aux =
@@ -233,86 +225,116 @@ struct CompileMode {
   /// call imm = callee's global instruction index, aux = absolute address.
   bool local = false;
   bool profile = false;
+  /// The function index this stream occupies in every image that links it
+  /// (0 for a global-form stream, which is its image's only function).
+  std::uint32_t func = 0;
 };
 
-/// Compiles one micro-op stream to a position-independent blob. Pure
-/// translation -- never fails (unspecialised forms lower to generic-exec
-/// helper calls).
-std::shared_ptr<const SegmentBlob> compile_stream(
-    const std::vector<MicroOp>& uops, CompileMode mode);
-
-// ---------------------------------------------------------------------------
-// Linked executable images.
-// ---------------------------------------------------------------------------
-
-/// An executable W^X code buffer (mmap RW -> fill -> mprotect RX).
-class CodeBuffer {
+/// Native code compiled from one micro-op stream, placed in the code arena.
+/// Immutable: the code stays at one address for the blob's lifetime, and
+/// the blob's pages go back to the arena when the last image using it dies.
+class SegmentBlob {
  public:
-  CodeBuffer() = default;
-  ~CodeBuffer();
-  CodeBuffer(const CodeBuffer&) = delete;
-  CodeBuffer& operator=(const CodeBuffer&) = delete;
+  SegmentBlob() = default;
+  SegmentBlob(const SegmentBlob&) = delete;
+  SegmentBlob& operator=(const SegmentBlob&) = delete;
+  ~SegmentBlob();
 
-  /// Maps a writable buffer of at least `size` bytes. Returns false when
-  /// the platform refuses (the capability probe normally catches this
-  /// first, but a hardened kernel can start refusing at any time).
-  bool map(std::size_t size);
-  /// Flips the mapping to read+execute. Must be called exactly once, after
-  /// the code is final.
-  bool seal();
+  /// First byte of the sealed (read+execute) code.
+  const std::uint8_t* code() const { return code_; }
+  std::size_t code_size() const { return size_; }
 
-  std::uint8_t* data() { return data_; }
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
+  /// Byte offset of each instruction's native entry (size = uop count).
+  std::vector<std::uint32_t> instr_off;
+  /// Function index whose FuncSlot the code reads its link data from.
+  std::uint32_t func = 0;
+  /// Per-blob lowering census (also accumulated into lowering_totals()).
+  LoweringStats stats;
 
  private:
-  std::uint8_t* data_ = nullptr;
+  friend std::shared_ptr<const SegmentBlob> compile_stream(
+      const std::vector<MicroOp>& uops, CompileMode mode);
+  const std::uint8_t* code_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Per-segment placement input to link_image.
+/// Compiles one micro-op stream and places it in the code arena. Lowering
+/// never fails (unspecialised forms lower to generic-exec helper calls);
+/// returns nullptr only when the arena cannot map executable memory.
+std::shared_ptr<const SegmentBlob> compile_stream(
+    const std::vector<MicroOp>& uops, CompileMode mode);
+
+/// Code arena occupancy: page-rounded bytes held by live blobs (and the
+/// runtime thunks), and bytes mapped for the arena in total.
+struct ArenaStats {
+  std::size_t live_bytes = 0;
+  std::size_t mapped_bytes = 0;
+};
+ArenaStats arena_stats();
+
+// ---------------------------------------------------------------------------
+// Linked images.
+// ---------------------------------------------------------------------------
+
+/// Link data of one function in one image. Placed code reads slot `func`
+/// of JitContext::funcs; the layout is fixed and static_asserted in
+/// compile.cpp.
+struct FuncSlot {
+  const void* entry;          // +0  native entry of its first instruction
+  const void* end;            // +8  where control goes past its last one:
+                              //     the next function or the off-end stub
+  std::uint64_t byte_base;    // +16 guest address of its first byte
+  std::uint64_t first_index;  // +24 global index of its first instruction
+};
+static_assert(sizeof(FuncSlot) == 32);
+
+/// Per-function link input, in program order.
 struct LinkSegment {
-  std::shared_ptr<const SegmentBlob> blob;
+  std::shared_ptr<const SegmentBlob> blob;  // blob->func == its position
   std::size_t first_index;  // global index of the segment's first instruction
   std::uint64_t byte_base;  // guest byte address of the segment
 };
 
-/// A fully linked, executable translation of one ExecutableImage variant.
+/// The executable translation of one ExecutableImage variant: the placed
+/// blobs it runs, their link table and a native address per instruction.
 class JitImage {
  public:
   /// Native entry address for a global instruction index; index == count
-  /// (execution fell off the end of the code) resolves to a stub that
-  /// reports the condition through the generic-exec helper.
-  const void* native_addr(std::size_t index) const {
-    return buf_.data() + native_off_[index];
-  }
-  std::size_t instruction_count() const { return native_off_.size() - 1; }
+  /// (execution fell off the end of the code) resolves to the runtime's
+  /// off-end stub, which reports the condition through generic-exec.
+  const void* native_addr(std::size_t index) const { return native_[index]; }
+  std::size_t instruction_count() const { return native_.size() - 1; }
+  const FuncSlot* funcs() const { return funcs_.data(); }
 
-  /// Links blobs (in program order, matching the image's instruction
-  /// numbering) into one executable buffer. `total` is the image's
-  /// instruction count; `funcs[f].first_index` resolves kRel32Call. Returns
-  /// nullptr when executable memory is unavailable.
+  /// Links placed blobs (one per function, in program order, matching the
+  /// image's instruction numbering; `total` is the image's instruction
+  /// count). Copies no code and patches nothing: fills the link table and
+  /// the native address table, and keeps the blobs alive.
   static std::shared_ptr<const JitImage> link(
-      const std::vector<LinkSegment>& segments, std::size_t total);
+      std::vector<LinkSegment> segments, std::size_t total);
 
  private:
   JitImage() = default;
-  CodeBuffer buf_;
-  std::vector<std::uint32_t> native_off_;  // size = total + 1
+  std::vector<std::shared_ptr<const SegmentBlob>> blobs_;
+  std::vector<FuncSlot> funcs_;
+  std::vector<const void*> native_;  // size = total + 1
 };
 
 // ---------------------------------------------------------------------------
 // Host runtime.
 // ---------------------------------------------------------------------------
 
-/// Host-state save/restore trampolines, emitted once per process into a
-/// small executable buffer.
+/// Host-state save/restore trampolines and the off-end stub, placed once
+/// per process in the code arena.
 struct Runtime {
   /// Enters JIT code at `start` with the context loaded; returns the exit
   /// status (kExit*).
   std::uint32_t (*entry)(JitContext*, const void* start);
   /// Address compiled code jumps to in order to leave (via ctx->epilogue).
   const void* epilogue;
+  /// Target of native_addr(count) and of the last function's FuncSlot::end:
+  /// reports "execution ran past the end of the code" via help_exec.
+  const void* off_end;
 };
 
 /// The process-wide runtime, built on first use. Null when jit_supported()

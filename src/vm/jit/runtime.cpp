@@ -1,30 +1,30 @@
-// Host side of the JIT: executable memory, the entry/epilogue thunks, the
-// capability probe, and the blob linker.
+// Host side of the JIT: the code arena, the entry/epilogue thunks, the
+// capability probe, and the linker.
 //
 // Everything here is mechanism-only: policy (when to JIT, cache lookup,
-// helper semantics) lives with the Machine in machine.cpp. The linker turns
-// position-independent SegmentBlobs into one sealed W^X buffer by applying
-// the "add the image-assigned base" relocations against the per-instruction
-// native offset table it builds along the way.
+// helper semantics) lives with the Machine in machine.cpp. Blobs are placed
+// in the arena when they are compiled, so linking an image is just filling
+// its FuncSlot table and native address table -- no code is copied or
+// patched.
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <mutex>
+
+#include <pthread.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "support/error.hpp"
 #include "vm/jit/emitter.hpp"
 #include "vm/jit/jit.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define FPMIX_JIT_HAVE_MMAP 1
-#endif
 
 // Compile-time disqualifiers. Sanitizers intercept neither the generated
 // code nor its stack discipline, so running JIT'd frames under them produces
 // false positives (and hides true ones); the engine downgrades instead.
 #if !defined(__x86_64__)
 #define FPMIX_JIT_OFF "host is not x86-64"
-#elif !defined(FPMIX_JIT_HAVE_MMAP)
-#define FPMIX_JIT_OFF "no mmap/mprotect on this platform"
 #elif defined(FPMIX_SANITIZER_BUILD) || defined(__SANITIZE_ADDRESS__) || \
     defined(__SANITIZE_THREAD__)
 #define FPMIX_JIT_OFF "sanitizer build"
@@ -57,38 +57,139 @@ static_assert(offsetof(JitContext, help_exec) == kCtxHelpExec);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// CodeBuffer
+// Code arena
 // ---------------------------------------------------------------------------
 
-CodeBuffer::~CodeBuffer() {
-#ifdef FPMIX_JIT_HAVE_MMAP
-  if (data_ != nullptr) ::munmap(data_, size_);
-#endif
+namespace {
+
+/// Process-wide W^X arena of MAP_PRIVATE anonymous chunks. Every placement
+/// owns whole pages, so sealing one blob's pages never touches a page
+/// another thread may be executing; free runs stay read-write (placing
+/// costs one mprotect) and coalesce with their neighbours. Chunks stay
+/// mapped for the life of the process, so the mapped size is bounded by
+/// the peak live size. Private mappings make fork() safe: the child's
+/// placements and releases write its own copy-on-write pages.
+class CodeArena {
+ public:
+  /// Chunks are small so JIT keeps working in workers run under a tight
+  /// RLIMIT_AS; a blob larger than a chunk gets a chunk of its own size.
+  static constexpr std::size_t kChunkBytes = std::size_t{256} << 10;
+
+  /// Never destroyed: blobs owned by other statics may be released
+  /// during exit, after any function-local static would be gone.
+  static CodeArena& arena() {
+    static CodeArena* a = new CodeArena;
+    return *a;
+  }
+
+  /// Copies `size` bytes of code into a fresh page run and seals it
+  /// read+execute. Returns nullptr when no executable memory is available.
+  const std::uint8_t* place(const std::uint8_t* code, std::size_t size) {
+    const std::size_t bytes = round_up(size);
+    std::uint8_t* p = take(bytes);
+    if (p == nullptr) return nullptr;
+    std::memcpy(p, code, size);
+    if (::mprotect(p, bytes, PROT_READ | PROT_EXEC) != 0) {
+      give(p, bytes, 0);
+      return nullptr;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    live_ += bytes;
+    return p;
+  }
+
+  /// Returns a placed run to the free list, read-write again. A run that
+  /// cannot be made writable is leaked, never reused.
+  void release(const std::uint8_t* code, std::size_t size) {
+    const std::size_t bytes = round_up(size);
+    auto* p = const_cast<std::uint8_t*>(code);
+    const bool writable = ::mprotect(p, bytes, PROT_READ | PROT_WRITE) == 0;
+    give(writable ? p : nullptr, bytes, bytes);
+  }
+
+  ArenaStats stats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {live_, mapped_};
+  }
+
+ private:
+  CodeArena() : page_(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE))) {
+    // A fork() while another thread holds the lock would leave the child
+    // unable to place anything; hold it across the fork instead.
+    ::pthread_atfork([] { arena().mu_.lock(); },
+                     [] { arena().mu_.unlock(); },
+                     [] { arena().mu_.unlock(); });
+  }
+
+  std::size_t round_up(std::size_t n) const {
+    return (std::max<std::size_t>(n, 1) + page_ - 1) / page_ * page_;
+  }
+
+  /// First-fit: carves `bytes` off the lowest free run that holds them,
+  /// mapping a new chunk when none does.
+  std::uint8_t* take(std::size_t bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = free_.begin();
+    while (it != free_.end() && it->second < bytes) ++it;
+    if (it == free_.end()) {
+      const std::size_t chunk = std::max(kChunkBytes, bytes);
+      void* m = ::mmap(nullptr, chunk, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (m == MAP_FAILED) return nullptr;
+      mapped_ += chunk;
+      it = insert(reinterpret_cast<std::uintptr_t>(m), chunk);
+    }
+    const std::uintptr_t start = it->first;
+    const std::size_t run = it->second;
+    free_.erase(it);
+    if (run > bytes) free_.emplace(start + bytes, run - bytes);
+    return reinterpret_cast<std::uint8_t*>(start);
+  }
+
+  /// Puts a run (null: none) back on the free list and takes `live`
+  /// bytes off the live count.
+  void give(std::uint8_t* p, std::size_t bytes, std::size_t live) {
+    std::lock_guard<std::mutex> lock(mu_);
+    live_ -= live;
+    if (p != nullptr) insert(reinterpret_cast<std::uintptr_t>(p), bytes);
+  }
+
+  /// Inserts a free run, merging it with address-adjacent free runs (which
+  /// may lie in a neighbouring chunk: mprotect spans mappings that touch).
+  std::map<std::uintptr_t, std::size_t>::iterator insert(
+      std::uintptr_t start, std::size_t bytes) {
+    auto next = free_.lower_bound(start);
+    if (next != free_.end() && start + bytes == next->first) {
+      bytes += next->second;
+      next = free_.erase(next);
+    }
+    if (next != free_.begin()) {
+      auto prev = std::prev(next);
+      if (prev->first + prev->second == start) {
+        prev->second += bytes;
+        return prev;
+      }
+    }
+    return free_.emplace_hint(next, start, bytes);
+  }
+
+  std::mutex mu_;
+  const std::size_t page_;
+  std::map<std::uintptr_t, std::size_t> free_;  // run start -> bytes
+  std::size_t live_ = 0;
+  std::size_t mapped_ = 0;
+};
+
+}  // namespace
+
+SegmentBlob::~SegmentBlob() {
+  if (code_ != nullptr) CodeArena::arena().release(code_, size_);
 }
 
-bool CodeBuffer::map(std::size_t size) {
-#ifdef FPMIX_JIT_HAVE_MMAP
-  FPMIX_CHECK(data_ == nullptr);
-  if (size == 0) size = 1;
-  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) return false;
-  data_ = static_cast<std::uint8_t*>(p);
-  size_ = size;
-  return true;
-#else
-  (void)size;
-  return false;
-#endif
-}
+ArenaStats arena_stats() { return CodeArena::arena().stats(); }
 
-bool CodeBuffer::seal() {
-#ifdef FPMIX_JIT_HAVE_MMAP
-  FPMIX_CHECK(data_ != nullptr);
-  return ::mprotect(data_, size_, PROT_READ | PROT_EXEC) == 0;
-#else
-  return false;
-#endif
+const std::uint8_t* place_code(const std::vector<std::uint8_t>& code) {
+  return CodeArena::arena().place(code.data(), code.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -99,18 +200,10 @@ namespace {
 
 struct RuntimeHolder {
   Runtime rt{};
-  CodeBuffer buf;
   bool ok = false;
   const char* reason = "";
 };
 
-bool fill_and_seal(CodeBuffer& buf, const std::vector<std::uint8_t>& code) {
-  if (!buf.map(code.size())) return false;
-  std::memcpy(buf.data(), code.data(), code.size());
-  return buf.seal();
-}
-
-// Fills `r` in place (CodeBuffer pins an mmap'd region and is immovable).
 void init_runtime(RuntimeHolder& r) {
 #ifdef FPMIX_JIT_OFF
   r.reason = FPMIX_JIT_OFF;
@@ -122,14 +215,16 @@ void init_runtime(RuntimeHolder& r) {
       Emitter probe;
       probe.mov_ri32(RAX, 42);
       probe.ret();
-      CodeBuffer pb;
-      if (!fill_and_seal(pb, probe.code)) {
+      const std::uint8_t* p = place_code(probe.code);
+      if (p == nullptr) {
         r.reason = "kernel refused a writable-then-executable mapping";
         return;
       }
       auto fn = reinterpret_cast<std::uint32_t (*)()>(
-          reinterpret_cast<void*>(pb.data()));
-      if (fn() != 42) {
+          reinterpret_cast<std::uintptr_t>(p));
+      const std::uint32_t got = fn();
+      CodeArena::arena().release(p, probe.code.size());
+      if (got != 42) {
         r.reason = "executable-memory probe returned garbage";
         return;
       }
@@ -168,13 +263,25 @@ void init_runtime(RuntimeHolder& r) {
     t.pop_r(RBP);
     t.ret();
 
-    if (!fill_and_seal(r.buf, t.code)) {
+    // off-end stub: execution ran past the last instruction of the image
+    // (native_addr(count), or the last function's FuncSlot::end). Any pc at
+    // or past the end makes help_exec report the condition at the end.
+    const std::size_t off_end_off = t.size();
+    t.mov_mr(R15, kCtxRetired, R14);
+    t.mov_ri32(RSI, 0xFFFFFFFFu);
+    t.mov_rr(RDI, R15);
+    t.call_m(R15, kCtxHelpExec);
+    t.jmp_m(R15, kCtxEpilogue);
+
+    const std::uint8_t* base = place_code(t.code);
+    if (base == nullptr) {
       r.reason = "kernel refused a writable-then-executable mapping";
       return;
     }
     r.rt.entry = reinterpret_cast<std::uint32_t (*)(JitContext*, const void*)>(
-        reinterpret_cast<void*>(r.buf.data()));
-    r.rt.epilogue = r.buf.data() + epi_off;
+        reinterpret_cast<std::uintptr_t>(base));
+    r.rt.epilogue = base + epi_off;
+    r.rt.off_end = base + off_end_off;
     r.ok = true;
 #endif
 }
@@ -202,90 +309,35 @@ const char* jit_unsupported_reason() { return holder().reason; }
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const JitImage> JitImage::link(
-    const std::vector<LinkSegment>& segments, std::size_t total) {
-  // The off-end stub sits at offset 0 and doubles as native_addr(total):
-  // execution that runs past the last instruction reports through the
-  // generic-exec helper (which traps on an out-of-range pc), exactly where a
-  // branch-to-end of the final segment lands.
-  Emitter stub;
-  stub.mov_mr(R15, kCtxRetired, R14);
-  stub.mov_ri32(RSI, static_cast<std::uint32_t>(total));
-  stub.mov_rr(RDI, R15);
-  stub.call_m(R15, kCtxHelpExec);
-  stub.jmp_m(R15, kCtxEpilogue);
-
-  std::size_t size = stub.size();
-  std::vector<std::size_t> seg_off(segments.size());
-  std::size_t instr_count = 0;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    seg_off[i] = size;
-    size += segments[i].blob->code.size();
-    instr_count += segments[i].blob->instr_off.size();
-  }
-  FPMIX_CHECK(instr_count == total);
-
+    std::vector<LinkSegment> segments, std::size_t total) {
+  const Runtime* rt = runtime();
+  FPMIX_CHECK(rt != nullptr);
   std::shared_ptr<JitImage> img(new JitImage());
-  if (!img->buf_.map(size)) return nullptr;
-  std::uint8_t* base = img->buf_.data();
-  std::memcpy(base, stub.code.data(), stub.code.size());
-
-  img->native_off_.assign(total + 1, 0);
-  img->native_off_[total] = 0;  // the off-end stub
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const SegmentBlob& b = *segments[i].blob;
-    if (!b.code.empty()) std::memcpy(base + seg_off[i], b.code.data(),
-                                     b.code.size());
-    const std::size_t ibase = segments[i].first_index;
+  img->native_.resize(total + 1);
+  std::size_t next = 0;
+  for (const LinkSegment& s : segments) {
+    const SegmentBlob& b = *s.blob;
+    FPMIX_CHECK(s.first_index == next);
+    next += b.instr_off.size();
+    FPMIX_CHECK(next <= total);
+    const void** out = img->native_.data() + s.first_index;
     for (std::size_t j = 0; j < b.instr_off.size(); ++j) {
-      img->native_off_[ibase + j] =
-          static_cast<std::uint32_t>(seg_off[i] + b.instr_off[j]);
+      out[j] = b.code() + b.instr_off[j];
     }
   }
+  FPMIX_CHECK(next == total);
+  img->native_[total] = rt->off_end;
 
-  // Apply relocations (the full native offset table must exist first: local
-  // branches can target any splice position, including one-past-the-end).
-  const auto patch32 = [&](std::size_t at, std::uint32_t v) {
-    std::memcpy(base + at, &v, 4);
-  };
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const SegmentBlob& b = *segments[i].blob;
-    const std::size_t ibase = segments[i].first_index;
-    for (const Reloc& r : b.relocs) {
-      const std::size_t at = seg_off[i] + r.offset;
-      switch (r.kind) {
-        case Reloc::Kind::kRel32Target: {
-          const std::size_t idx = ibase + static_cast<std::size_t>(r.value);
-          FPMIX_CHECK(idx <= total);
-          patch32(at, static_cast<std::uint32_t>(
-                          static_cast<std::int64_t>(img->native_off_[idx]) -
-                          static_cast<std::int64_t>(at + 4)));
-          break;
-        }
-        case Reloc::Kind::kRel32Call: {
-          const auto f = static_cast<std::size_t>(r.value);
-          FPMIX_CHECK(f < segments.size());
-          const std::size_t idx = segments[f].first_index;
-          patch32(at, static_cast<std::uint32_t>(
-                          static_cast<std::int64_t>(img->native_off_[idx]) -
-                          static_cast<std::int64_t>(at + 4)));
-          break;
-        }
-        case Reloc::Kind::kAbs64RetAddr: {
-          const std::uint64_t v = r.value + segments[i].byte_base;
-          std::memcpy(base + at, &v, 8);
-          break;
-        }
-        case Reloc::Kind::kImm32Pc:
-          patch32(at, static_cast<std::uint32_t>(ibase + r.value));
-          break;
-        case Reloc::Kind::kDisp32Counts:
-          patch32(at, static_cast<std::uint32_t>((ibase + r.value) * 8));
-          break;
-      }
-    }
+  img->funcs_.reserve(segments.size());
+  img->blobs_.reserve(segments.size());
+  for (std::size_t f = 0; f < segments.size(); ++f) {
+    LinkSegment& s = segments[f];
+    FPMIX_CHECK(s.blob->func == f);
+    const std::size_t end = s.first_index + s.blob->instr_off.size();
+    img->funcs_.push_back({img->native_[s.first_index], img->native_[end],
+                           s.byte_base, s.first_index});
+    img->blobs_.push_back(std::move(s.blob));
   }
-
-  if (!img->buf_.seal()) return nullptr;
   return img;
 }
 

@@ -1748,7 +1748,9 @@ struct JitExec {
     const auto* img = static_cast<const jit::JitImage*>(ctx->image);
     const auto& uops = m.exec_->uops();
     if (pc >= uops.size()) {
-      record_trap(ctx, pc,
+      // The off-end stub: it serves every image, so it passes no pc of its
+      // own; the trap sits at the end of the code, as in the interpreters.
+      record_trap(ctx, uops.size(),
                   strformat("execution ran past the end of the code"), false);
       return nullptr;
     }
@@ -1913,22 +1915,24 @@ struct JitExec {
 
   // --- compilation caches --------------------------------------------------
 
-  /// Compiles (or fetches) a segment's position-independent blob. Cached on
-  /// the CodeSegment, so every image that splices it shares the code.
+  /// Compiles and places (or fetches) the blob of a segment spliced as
+  /// function `func`. Cached on the CodeSegment, so every image that
+  /// splices it there shares the placed code. Null when the code arena
+  /// cannot map.
   static std::shared_ptr<const jit::SegmentBlob> blob_for(
-      const CodeSegment& seg, bool profile) {
+      const CodeSegment& seg, std::uint32_t func, bool profile) {
     jit::BlobCache& cache = seg.jit_cache();
     std::lock_guard<std::mutex> lock(cache.mu);
     auto& slot = cache.variant[profile ? 1 : 0];
-    if (slot == nullptr) {
+    if (slot == nullptr || slot->func != func) {
       slot = jit::compile_stream(seg.uops(),
-                                 {/*local=*/true, /*profile=*/profile});
+                                 {/*local=*/true, /*profile=*/profile, func});
     }
     return slot;
   }
 
-  /// Links (or fetches) the executable translation of a whole image. May
-  /// return null when executable memory is unavailable at link time.
+  /// Links (or fetches) the executable translation of a whole image. Null
+  /// when the code arena cannot map a blob it needs.
   static std::shared_ptr<const jit::JitImage> image_for(
       const ExecutableImage& exec, bool profile) {
     jit::ImageJitCache& cache = exec.jit_cache();
@@ -1948,16 +1952,19 @@ struct JitExec {
         const CodeSegment& s = *segs[i];
         const std::uint64_t byte_base =
             s.instruction_count() == 0 ? 0 : exec.code()[first[i]].addr;
-        links.push_back({blob_for(s, profile), first[i], byte_base});
+        links.push_back({blob_for(s, static_cast<std::uint32_t>(i), profile),
+                         first[i], byte_base});
+        if (links.back().blob == nullptr) return nullptr;
       }
     } else {
       // Built from scratch (no segments): one monolithic blob in global
-      // form, cached on the image itself.
+      // form, owned by the image's link.
       links.push_back({jit::compile_stream(
                            exec.uops(), {/*local=*/false, /*profile=*/profile}),
                        /*first_index=*/0, /*byte_base=*/0});
+      if (links.back().blob == nullptr) return nullptr;
     }
-    slot = jit::JitImage::link(links, exec.uops().size());
+    slot = jit::JitImage::link(std::move(links), exec.uops().size());
     return slot;
   }
 
@@ -2012,8 +2019,8 @@ struct JitExec {
     FPMIX_CHECK(rt != nullptr);  // run_engine verified jit_supported()
     const auto img = image_for(*m.exec_, m.options_.profile);
     if (img == nullptr) {
-      // Executable memory vanished after the capability probe (hardened
-      // kernel tightening mid-flight); degrade for this run.
+      // The code arena could not map (address-space limit, or a hardened
+      // kernel tightening after the capability probe); degrade this run.
       return m.options_.profile ? m.run_micro<true>() : m.run_micro<false>();
     }
 
@@ -2054,6 +2061,7 @@ struct JitExec {
     ctx.mem_limit4 = ctx.mem_size >= 4 ? ctx.mem_size - 3 : 0;
     ctx.run_state = &rs;
     ctx.image = img.get();
+    ctx.funcs = img->funcs();
 
     std::uint32_t status = rt->entry(&ctx, img->native_addr(m.pc_));
     if (status == jit::kExitBudgetNear) status = interp_near_tail(&ctx, m);

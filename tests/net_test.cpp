@@ -34,8 +34,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -65,6 +67,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -921,7 +924,10 @@ TEST(DistributedScheduler, EndpointDeathMidTrialQuarantinesAsCrash) {
   // A single endpoint that dies after delivering one result, and a crash
   // budget of one: every trial stranded in flight must come back as a
   // quarantined kCrash verdict -- the same breaker taxonomy as a
-  // crash-looping config -- never hang, never pass.
+  // crash-looping config -- never hang, never pass. A trial whose send
+  // found the endpoint already gone was never in flight: it comes back
+  // unserved (the fleet-loss outcome the composite executor runs locally).
+  // The delivered verdict counts whichever way the death is noticed.
   ServerProc sp = spawn_server(2, /*exit_after=*/1);
   ASSERT_GT(sp.pid, 0);
   NetWorkload w = make_workload();
@@ -944,11 +950,13 @@ TEST(DistributedScheduler, EndpointDeathMidTrialQuarantinesAsCrash) {
   const std::vector<runner::TrialOutcome> outs = sched.run_batch(jobs);
   ASSERT_EQ(outs.size(), jobs.size());
 
-  std::size_t ok = 0, quarantined = 0;
+  std::size_t ok = 0, quarantined = 0, unserved = 0;
   for (const runner::TrialOutcome& o : outs) {
-    if (o.served && !o.quarantined) {
+    if (!o.served) {
+      ++unserved;
+    } else if (!o.quarantined) {
       ++ok;
-    } else if (o.served && o.quarantined) {
+    } else {
       ++quarantined;
       EXPECT_FALSE(o.result.passed);
       EXPECT_EQ(o.result.failure_class, verify::FailureClass::kCrash);
@@ -958,9 +966,9 @@ TEST(DistributedScheduler, EndpointDeathMidTrialQuarantinesAsCrash) {
       EXPECT_GE(o.worker_deaths, 1u);
     }
   }
-  EXPECT_GE(ok, 1u);           // the endpoint served before dying
-  EXPECT_GE(quarantined, 1u);  // and stranded the rest
-  EXPECT_EQ(ok + quarantined, jobs.size());
+  EXPECT_GE(ok, 1u);  // the endpoint served before dying
+  EXPECT_GE(quarantined + unserved, 1u);  // and stranded the rest
+  EXPECT_EQ(ok + quarantined + unserved, jobs.size());
 
   const std::vector<search::EndpointMetrics> em = sched.endpoint_metrics();
   ASSERT_EQ(em.size(), 1u);
@@ -1125,6 +1133,111 @@ TEST(DistributedScheduler, DuplicateResultIsDiscardedNeverDoubleVoted) {
     ASSERT_EQ(em.size(), 1u);
     EXPECT_EQ(em[0].trials, 1u);        // voted exactly once
     EXPECT_EQ(em[0].late_results, 1u);  // the duplicate, discarded
+  }
+  server.join();
+}
+
+/// Reads exactly `n` bytes (never more) from a non-blocking socket.
+std::string read_exact(net::Socket* s, std::size_t n) {
+  std::string out(n, '\0');
+  std::size_t got = 0;
+  for (int i = 0; i < 4000 && got < n; ++i) {
+    const ssize_t r = ::recv(s->fd(), out.data() + got, n - got, 0);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+    } else if (r == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      break;
+    } else {
+      ::poll(nullptr, 0, 1);
+    }
+  }
+  out.resize(got);
+  return out;
+}
+
+TEST(DistributedScheduler, VerdictDeliveredBeforeSendFailureIsCounted) {
+  if (!net::supported()) GTEST_SKIP() << "no sockets on this platform";
+  // A hand-rolled endpoint that answers the first trial and then dies
+  // while the scheduler is still sending the second one (a frame far
+  // larger than the socket buffers, so the send is still running when the
+  // reset arrives). The failed send must not throw away the verdict that
+  // is already in the socket: the first trial passes, and the second,
+  // never delivered, comes back unserved -- not quarantined as a crash.
+  net::Listener listener;
+  std::string error;
+  ASSERT_TRUE(listener.listen_on("127.0.0.1", 0, &error)) << error;
+  net::Endpoint ep;
+  ep.port = listener.port();
+
+  NetWorkload w = make_workload();
+  const std::string fp = w.verifier->fingerprint();
+  std::thread server([&listener, fp]() {
+    net::Socket s;
+    for (int i = 0; i < 2000 && !s.valid(); ++i) {
+      s = listener.accept_connection();
+      if (!s.valid()) ::poll(nullptr, 0, 2);
+    }
+    if (!s.valid()) return;
+    net::FrameBuffer fb;
+    read_one_frame(&s, &fb);  // the hello (nothing else is sent before the ack)
+    net::HelloAckMsg ack;
+    ack.ok = 1;
+    ack.workers = 1;
+    ack.verifier_fp = fp;
+    s.send_all(runner::encode_frame(net::encode_hello_ack(ack)), 1000);
+    // Exactly the first trial's frame: magic, length, payload, crc.
+    const std::string head = read_exact(&s, 8);
+    if (head.size() != 8) return;
+    std::uint32_t len = 0;
+    std::memcpy(&len, head.data() + 4, 4);
+    const std::string rest = read_exact(&s, std::size_t{len} + 4);
+    net::TrialMsg t;
+    if (rest.size() != len + 4 ||
+        !net::decode_trial(rest.substr(0, len), &t)) {
+      return;
+    }
+    verify::EvalResult wr;
+    wr.passed = true;
+    net::ResultMsg r;
+    r.ticket = t.ticket;
+    r.wire_result = runner::encode_result(wr);
+    s.send_all(runner::encode_frame(net::encode_result_msg(r)), 1000);
+    // Die with the second trial's bytes unread: the close resets the
+    // connection, and the scheduler's send of that trial fails.
+    pollfd pfd{s.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 5000);
+    s.close();
+  });
+
+  {
+    search::SchedulerOptions so;
+    so.endpoints = {ep};
+    so.hello = make_hello();
+    so.verifier_fp = fp;
+    so.max_trial_crashes = 1;
+    so.max_endpoint_failures = 1;
+    search::Scheduler sched(so);
+    ASSERT_EQ(sched.connect(), 1u);
+
+    config::PrecisionConfig all_double;
+    std::vector<runner::TrialJob> jobs;
+    jobs.push_back(runner::TrialJob{"answered", &all_double});
+    jobs.push_back(
+        runner::TrialJob{std::string(12u << 20, 'k'), &all_double});
+    const std::vector<runner::TrialOutcome> outs = sched.run_batch(jobs);
+    ASSERT_EQ(outs.size(), 2u);
+    EXPECT_TRUE(outs[0].served);
+    EXPECT_TRUE(outs[0].result.passed);
+    EXPECT_FALSE(outs[0].quarantined);
+    EXPECT_FALSE(outs[1].served);  // never delivered: unserved, not a crash
+    EXPECT_FALSE(outs[1].quarantined);
+
+    const std::vector<search::EndpointMetrics> em =
+        sched.endpoint_metrics();
+    ASSERT_EQ(em.size(), 1u);
+    EXPECT_EQ(em[0].trials, 1u);
+    EXPECT_EQ(em[0].disconnects, 1u);
+    EXPECT_TRUE(em[0].lost);
   }
   server.join();
 }

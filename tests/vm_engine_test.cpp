@@ -16,11 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <thread>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "arch/encode.hpp"
@@ -38,6 +42,16 @@
 #include "support/strings.hpp"
 #include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
+
+// AddressSanitizer and ThreadSanitizer reserve terabytes of shadow address
+// space, so an RLIMIT_AS cap cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FPMIX_TEST_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FPMIX_TEST_SHADOW_SANITIZER 1
+#endif
+#endif
 
 namespace fpmix {
 namespace {
@@ -906,6 +920,221 @@ TEST(JitEngine, NoRegallocFallbackIsBitIdentical) {
     expect_engines_identical(img, opts, "no-regalloc budget");
   }
   ASSERT_EQ(unsetenv("FPMIX_JIT_NO_REGALLOC"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The JIT code arena: blobs are placed once, in MAP_PRIVATE chunks, and
+// their pages are reused after the last image using them dies.
+
+/// Several functions over shared globals, in two modules, called from a
+/// loop in main: delta images differ in single functions, and every call
+/// crosses a blob boundary through the image's link table.
+lang::ProgramModel multi_func_model(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  lang::Builder b;
+  constexpr int kVars = 4;
+  constexpr int kFuncs = 4;
+  std::vector<lang::Var> vars;
+  for (int i = 0; i < kVars; ++i) {
+    vars.push_back(b.var_f64(strformat("g%d", i)));
+  }
+  lang::Var it = b.var_i64("it");
+  for (int f = 0; f < kFuncs; ++f) {
+    b.begin_func(strformat("f%d", f), f < kFuncs / 2 ? "ma" : "mb");
+    for (int s = 0; s < 3; ++s) {
+      const auto t = rng.next_below(kVars);
+      b.set(vars[t], lang::Expr(vars[t]) * b.cf(rng.next_double(0.5, 0.9)) +
+                         sqrt_(fabs_(lang::Expr(vars[(t + 1) % kVars])) +
+                               b.cf(rng.next_double(0.1, 1.0))));
+    }
+    b.end_func();
+  }
+  b.begin_func("main", "main");
+  for (int i = 0; i < kVars; ++i) {
+    b.set(vars[i], b.cf(rng.next_double(0.5, 3.0)));
+  }
+  b.for_(it, b.ci(0), b.ci(20), [&] {
+    for (int f = 0; f < kFuncs; ++f) b.call(strformat("f%d", f));
+  });
+  for (int i = 0; i < kVars; ++i) b.output(lang::Expr(vars[i]) * b.cf(1.0));
+  b.end_func();
+  return b.take_model();
+}
+
+/// True when the JIT run of `exec` is observationally identical to its
+/// micro-op run (profile included). No gtest assertions, so forked children
+/// and worker threads can call it.
+bool jit_matches_micro(const std::shared_ptr<const vm::ExecutableImage>& exec) {
+  const EngineOut j = run_engine(exec, vm::Engine::kJit, {});
+  const EngineOut u = run_engine(exec, vm::Engine::kMicroOp, {});
+  if (j.f64.size() != u.f64.size()) return false;
+  for (std::size_t i = 0; i < u.f64.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(j.f64[i]) !=
+        std::bit_cast<std::uint64_t>(u.f64[i])) {
+      return false;
+    }
+  }
+  return j.result.status == u.result.status &&
+         j.result.trap_message == u.result.trap_message &&
+         j.retired == u.retired && j.i64 == u.i64 && j.profile == u.profile;
+}
+
+/// Spliced images of one program under a sequence of configs that each
+/// flip one function's precision: the delta-trial shape.
+struct DeltaImages {
+  program::Image orig;
+  config::StructureIndex ix;
+  std::vector<config::PrecisionConfig> configs;
+
+  explicit DeltaImages(std::uint64_t seed)
+      : orig(program::relayout(
+            lang::compile(multi_func_model(seed), lang::Mode::kDouble))),
+        ix(config::StructureIndex::build(program::lift(orig))) {
+    config::PrecisionConfig cfg;
+    configs.push_back(cfg);
+    for (std::size_t f = 0; f < ix.funcs().size(); ++f) {
+      cfg.set_func(f, config::Precision::kSingle);
+      configs.push_back(cfg);
+    }
+  }
+};
+
+TEST(JitArena, ForkedParentAndChildNeverShareCodePages) {
+  FPMIX_REQUIRE_JIT();
+  const auto image = [](std::uint64_t seed) {
+    return vm::ExecutableImage::build(program::relayout(
+        lang::compile(multi_func_model(seed), lang::Mode::kDouble)));
+  };
+  auto old_img = image(0xF0);
+  ASSERT_TRUE(jit_matches_micro(old_img));  // placed before the fork
+  const auto kept = image(0xF1);
+  ASSERT_TRUE(jit_matches_micro(kept));
+
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Free the old image's pages and place new blobs over them while the
+    // parent keeps running the old image from the same addresses.
+    ::close(ready[0]);
+    old_img.reset();
+    bool ok = jit_matches_micro(image(0xC0)) && jit_matches_micro(image(0xC1));
+    ok = ok && ::write(ready[1], "x", 1) == 1;
+    ok = ok && jit_matches_micro(kept) && jit_matches_micro(image(0xC2));
+    ::_exit(ok ? 0 : 1);
+  }
+  ::close(ready[1]);
+  char c = 0;
+  EXPECT_EQ(::read(ready[0], &c, 1), 1);
+  ::close(ready[0]);
+  EXPECT_TRUE(jit_matches_micro(old_img));
+  EXPECT_TRUE(jit_matches_micro(kept));
+  EXPECT_TRUE(jit_matches_micro(image(0xA0)));  // the parent places too
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, raw status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(JitArena, DestroyedPatchersReturnTheirPages) {
+  FPMIX_REQUIRE_JIT();
+  const vm::jit::ArenaStats base = vm::jit::arena_stats();
+  std::size_t mapped_after_first = 0;
+  for (int round = 0; round < 3; ++round) {
+    {
+      DeltaImages d(0xB0);
+      instrument::IncrementalPatcher patcher(d.orig, d.ix);
+      for (const config::PrecisionConfig& cfg : d.configs) {
+        ASSERT_TRUE(jit_matches_micro(patcher.predecode(patcher.patch(cfg))));
+      }
+      EXPECT_GT(vm::jit::arena_stats().live_bytes, base.live_bytes);
+    }
+    const vm::jit::ArenaStats now = vm::jit::arena_stats();
+    EXPECT_EQ(now.live_bytes, base.live_bytes) << "round " << round;
+    if (round == 0) mapped_after_first = now.mapped_bytes;
+    // Later rounds fit in the pages the first one freed.
+    EXPECT_EQ(now.mapped_bytes, mapped_after_first) << "round " << round;
+  }
+}
+
+/// Mapped address space of this process in bytes (0 when unknown).
+std::uint64_t address_space_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long pages = 0;
+  const int n = std::fscanf(f, "%llu", &pages);
+  std::fclose(f);
+  if (n != 1) return 0;
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(JitArena, AddressSpaceCapJitsOrDowngradesCleanly) {
+  FPMIX_REQUIRE_JIT();
+#if FPMIX_TEST_SHADOW_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS is not applicable under a shadow-memory "
+                  "sanitizer";
+#else
+  constexpr rlim_t kCap = rlim_t{64} << 20;  // --worker-rlimit-as 64
+  // The guest memory alone takes 16 MiB per run; a process that already
+  // maps much more (thread arenas left by earlier tests in one gtest run)
+  // leaves no headroom for anything under the cap.
+  const std::uint64_t used = address_space_bytes();
+  if (used > (std::uint64_t{24} << 20)) {
+    GTEST_SKIP() << "process already maps " << (used >> 20) << " MiB";
+  }
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const rlimit as{kCap, kCap};
+    if (::setrlimit(RLIMIT_AS, &as) != 0) ::_exit(2);
+    // Fresh images, all kept alive, so the arena has to grow under the cap;
+    // once it cannot, runs fall back to the micro-op engine.
+    DeltaImages d(0xCA);
+    instrument::IncrementalPatcher patcher(d.orig, d.ix);
+    std::vector<std::shared_ptr<const vm::ExecutableImage>> live;
+    for (const config::PrecisionConfig& cfg : d.configs) {
+      live.push_back(patcher.predecode(patcher.patch(cfg)));
+      if (!jit_matches_micro(live.back())) ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, raw status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+#endif
+}
+
+TEST(JitArena, ThreadsPlaceAndRunDeltaImagesConcurrently) {
+  FPMIX_REQUIRE_JIT();
+  // One shared patcher, so threads race on the same segments' blob
+  // caches as well as on the arena; patching itself is serialised.
+  DeltaImages d(0x7D);
+  instrument::IncrementalPatcher patcher(d.orig, d.ix);
+  std::mutex patch_mu;
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < d.configs.size(); ++k) {
+        // Each thread walks the configs from a different starting point.
+        const auto& cfg =
+            d.configs[(k + static_cast<std::size_t>(t)) % d.configs.size()];
+        std::shared_ptr<const vm::ExecutableImage> exec;
+        {
+          std::lock_guard<std::mutex> lock(patch_mu);
+          exec = patcher.predecode(patcher.patch(cfg));
+        }
+        if (!jit_matches_micro(exec)) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 }  // namespace
