@@ -79,7 +79,6 @@ struct KernelResult {
   double cold_total_ms = 0;
   double warm_total_ms = 0;
   double geomean_speedup = 0;
-  std::uint64_t image_hits = 0;
   std::uint64_t funcs_reused = 0;
   std::uint64_t funcs_patched = 0;
 };
@@ -117,6 +116,8 @@ KernelResult run_kernel(const kernels::Workload& w,
       std::exit(1);
     }
 
+    res.funcs_reused += built.funcs_reused;
+    res.funcs_patched += built.funcs_total - built.funcs_reused;
     res.cold_total_ms += cold_ns * 1e-6;
     res.warm_total_ms += warm_ns * 1e-6;
     const double speedup = cold_ns / std::max(warm_ns, 1.0);
@@ -124,10 +125,6 @@ KernelResult run_kernel(const kernels::Workload& w,
     speedups->push_back(speedup);
   }
   res.geomean_speedup = std::exp(log_sum / static_cast<double>(seq.size()));
-  const verify::TrialBuilder::Stats st = builder.stats();
-  res.image_hits = st.image_cache_hits;
-  res.funcs_reused = st.funcs_reused;
-  res.funcs_patched = st.funcs_patched;
   return res;
 }
 
@@ -166,11 +163,9 @@ int main(int argc, char** argv) {
                 r.cold_total_ms * 1e3 / static_cast<double>(r.trials),
                 r.warm_total_ms * 1e3 / static_cast<double>(r.trials),
                 r.geomean_speedup);
-    std::printf("%-8s         funcs reused/patched %llu/%llu, image hits "
-                "%llu\n",
-                "", static_cast<unsigned long long>(r.funcs_reused),
-                static_cast<unsigned long long>(r.funcs_patched),
-                static_cast<unsigned long long>(r.image_hits));
+    std::printf("%-8s         funcs reused/patched %llu/%llu\n", "",
+                static_cast<unsigned long long>(r.funcs_reused),
+                static_cast<unsigned long long>(r.funcs_patched));
     std::fflush(stdout);
     total_trials += r.trials;
   }

@@ -7,7 +7,7 @@
 //                    [--threads N] [--deadline-ms N] [--retries N] [--quiet]
 //                    [--isolate] [--workers N] [--max-crashes N]
 //                    [--worker-rlimit-as MB] [--fault-seed N]
-//                    [--metrics-json FILE] [--no-image-cache]
+//                    [--metrics-json FILE]
 //                    [--connect HOST:PORT,...] [--shard-cache]
 //                    [--journal-deterministic]
 //                    [--engine switch|microop|jit] [--adopt]
@@ -34,9 +34,10 @@
 // SearchMetrics, including the per-signal worker-crash census and the
 // per-worker-slot request/respawn/quarantine counts, to FILE.
 //
-// --no-image-cache disables the incremental trial pipeline (per-function
-// variant reuse + warm image caches), rebuilding every trial from scratch.
-// Results are identical either way; the flag exists for A/B benchmarking.
+// Every trial is built incrementally: functions whose precision
+// assignment an earlier trial already patched reuse that variant, and the
+// executable is spliced from their cached segments. Builds are
+// bit-identical to from-scratch ones, so this never changes a result.
 //
 // --connect dispatches trials to remote runner_serve daemons instead of
 // local execution: trials fan out across the fleet (least-loaded first),
@@ -73,7 +74,7 @@
 // (unknown flag, a flag missing its value, a bad value, an unknown
 // benchmark or class); 3 internal failure (worker crash storm,
 // internal-error trials, or an --out / --metrics-json file that cannot be
-// written).
+// written, which is checked before the search starts).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -180,7 +181,6 @@ int main(int argc, char** argv) {
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--no-resume") opts.resume = false;
     else if (arg == "--isolate") opts.isolate_trials = true;
-    else if (arg == "--no-image-cache") opts.image_cache = false;
     else if (arg == "--shard-cache") opts.shard_cache = true;
     else if (arg == "--journal-deterministic") opts.journal_timings = false;
     else if (arg == "--adopt") opts.adopt_fleet = true;
@@ -233,10 +233,21 @@ int main(int argc, char** argv) {
 
   // The library only warns about an unusable journal (the search still
   // completes without one); on the command line it is a mistake to report
-  // before any work is done.
+  // before any work is done, and so is an output file the search could
+  // never write.
   if (!opts.journal_path.empty() && !appendable(opts.journal_path)) {
     std::fprintf(stderr, "cannot open journal %s for appending\n",
                  opts.journal_path.c_str());
+    return 3;
+  }
+  if (!out_path.empty() && !appendable(out_path)) {
+    std::fprintf(stderr, "cannot write configuration to %s\n",
+                 out_path.c_str());
+    return 3;
+  }
+  if (!metrics_path.empty() && !appendable(metrics_path)) {
+    std::fprintf(stderr, "cannot write metrics JSON to %s\n",
+                 metrics_path.c_str());
     return 3;
   }
 
@@ -287,13 +298,11 @@ int main(int argc, char** argv) {
               "verify %.2fs\n",
               secs(c.patch_ns), secs(c.predecode_ns), secs(c.run_ns),
               secs(c.verify_ns));
-  if (c.image_hits + c.image_misses > 0) {
-    std::printf("incremental: %llu image hit(s) / %llu miss(es), %llu func "
-                "segment(s) reused / %llu patched, ~%.3fs patch + %.3fs "
-                "predecode saved\n",
-                llu(c.image_hits), llu(c.image_misses), llu(c.funcs_reused),
-                llu(c.funcs_patched), secs(c.patch_saved_ns),
-                secs(c.predecode_saved_ns));
+  if (c.funcs_reused + c.funcs_patched > 0) {
+    std::printf("incremental: %llu func segment(s) reused / %llu patched, "
+                "~%.3fs patch + %.3fs predecode saved\n",
+                llu(c.funcs_reused), llu(c.funcs_patched),
+                secs(c.patch_saved_ns), secs(c.predecode_saved_ns));
   }
   if (!m.failures_by_class.empty()) {
     std::printf("failed trials by class:\n");
@@ -317,10 +326,8 @@ int main(int argc, char** argv) {
                 llu(p.isolated_trials), llu(p.worker_crashes),
                 llu(p.workers_respawned), llu(p.timeouts_killed),
                 llu(p.protocol_errors), llu(p.quarantined_configs));
-    if (p.delta_requests + p.full_requests > 0) {
-      std::printf("wire: %llu delta frame(s) (%llu B) + %llu full frame(s) "
-                  "(%llu B)\n",
-                  llu(p.delta_requests), llu(p.delta_bytes),
+    if (p.full_requests > 0) {
+      std::printf("wire: %llu config frame(s) (%llu B)\n",
                   llu(p.full_requests), llu(p.full_bytes));
     }
     for (std::size_t i = 0; i < p.slots.size(); ++i) {

@@ -24,12 +24,14 @@
 // --state-dir DIR persists every retained journal shard and verdict cache
 // under DIR as CRC-sealed JSONL and reloads them at startup, so a daemon
 // that is SIGKILLed and restarted on the same directory resumes with its
-// replicas intact (--state-fsync makes each append power-loss durable). An
-// unusable directory degrades the daemon to the pre-v4 in-memory behaviour
-// with a one-time warning; it never refuses to serve. --disk-fault-* turn
-// on the seeded deterministic disk-fault campaign (short writes, torn
-// records, fsync failures, ENOSPC, unreadable files on reload) for
-// durability testing.
+// replicas intact (--state-fsync makes each append power-loss durable). A
+// DIR that exists but is not a directory is a usage error (exit 2, before
+// binding). Storage that fails at run time -- a DIR that cannot be created
+// or written, ENOSPC, I/O errors -- degrades the daemon to the pre-v4
+// in-memory behaviour with a one-time warning and counts as a disk fault;
+// it never stops serving. --disk-fault-* turn on the seeded deterministic
+// disk-fault campaign (short writes, torn records, fsync failures, ENOSPC,
+// unreadable files on reload) for durability testing.
 //
 // Each session's scheduler streams its CRC-sealed journal records here;
 // the daemon retains a per-search replicated shard that outlives the
@@ -40,12 +42,13 @@
 // that long (default 600000, 0 disables); a reaped session logs its
 // search fingerprint and retained-shard size, and the shard survives.
 //
-// Exit codes: 0 clean shutdown (signal or --exit-after); 1 cannot bind;
-// 2 usage error.
+// Exit codes: 0 clean shutdown (signal or --exit-after); 1 cannot resolve
+// or bind the address, or cannot write the port file; 2 usage error.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -139,6 +142,14 @@ int main(int argc, char** argv) {
     return true;
   };
   if (!flags::parse(argc, argv, 1, value_flags, switches)) return 2;
+  std::error_code ec;
+  if (!sopts.state_dir.empty() &&
+      std::filesystem::exists(sopts.state_dir, ec) &&
+      !std::filesystem::is_directory(sopts.state_dir, ec)) {
+    std::fprintf(stderr, "--state-dir %s exists and is not a directory\n",
+                 sopts.state_dir.c_str());
+    return 2;
+  }
   if (!quiet) {
     sopts.verbose = true;
     log::set_level(log::Level::kInfo);

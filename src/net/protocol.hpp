@@ -11,8 +11,7 @@
 //                        evaluation semantics (budget/deadline/breaker/
 //                        rlimit), search fingerprint, fault campaign
 //     kMsgTrial          one trial: ticket + config digest + full canonical
-//                        config key (the server's own pool re-deltas to its
-//                        workers; the session stream stays stateless)
+//                        config key (the session stream stays stateless)
 //     kMsgCacheInsert    shard-cache fill: a verdict this client computed
 //                        elsewhere (another shard or in-process)
 //     kMsgJournalAppend  one CRC-sealed journal record, streamed as the
@@ -60,7 +59,8 @@ namespace fpmix::net {
 /// v5: Pong carries the endpoint's live disk_faults and state_degraded, so
 /// the scheduler's durability census follows faults that land after the
 /// handshake.
-constexpr std::uint32_t kProtocolVersion = 5;
+/// v6: the Result payload carries no image-cache-hit byte.
+constexpr std::uint32_t kProtocolVersion = 6;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;

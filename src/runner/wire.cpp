@@ -112,7 +112,6 @@ std::string WireReader::str() {
 
 std::string encode_request(const TrialRequest& req) {
   std::string out;
-  put_u8(&out, req.opcode);
   put_string(&out, req.key);
   put_u32(&out, req.exec_index);
   put_string(&out, req.config_key);
@@ -121,12 +120,10 @@ std::string encode_request(const TrialRequest& req) {
 
 bool decode_request(std::string_view payload, TrialRequest* out) {
   WireReader r(payload);
-  out->opcode = r.u8();
   out->key = r.str();
   out->exec_index = r.u32();
   out->config_key = r.str();
-  if (!r.done()) return false;
-  return out->opcode == kReqFull || out->opcode == kReqDelta;
+  return r.done();
 }
 
 std::string encode_result(const verify::EvalResult& r) {
@@ -141,7 +138,6 @@ std::string encode_result(const verify::EvalResult& r) {
   put_u64(&out, c.predecode_ns);
   put_u64(&out, c.run_ns);
   put_u64(&out, c.verify_ns);
-  put_u8(&out, c.image_hits > 0 ? 1 : 0);
   put_u64(&out, c.patch_saved_ns);
   put_u64(&out, c.predecode_saved_ns);
   put_u32(&out, static_cast<std::uint32_t>(c.funcs_reused));
@@ -162,7 +158,6 @@ bool decode_result(std::string_view payload, verify::EvalResult* out) {
   c.predecode_ns = r.u64();
   c.run_ns = r.u64();
   c.verify_ns = r.u64();
-  const bool image_hit = r.u8() != 0;
   c.patch_saved_ns = r.u64();
   c.predecode_saved_ns = r.u64();
   const std::uint32_t funcs_reused = r.u32();
@@ -177,7 +172,7 @@ bool decode_result(std::string_view payload, verify::EvalResult* out) {
   }
   out->failure_class = static_cast<verify::FailureClass>(failure_class);
   out->run_status = static_cast<vm::RunResult::Status>(run_status);
-  c.add_build(image_hit, funcs_reused, funcs_total);
+  c.add_build(funcs_reused, funcs_total);
   return true;
 }
 

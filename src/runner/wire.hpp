@@ -71,22 +71,12 @@ class WireReader {
 
 // ---- Trial request (driver -> worker) -------------------------------------
 
-/// Request opcodes: how `config_key` is to be interpreted.
-constexpr std::uint8_t kReqFull = 1;   // full canonical_key serialization
-constexpr std::uint8_t kReqDelta = 2;  // delta script against the worker's
-                                       // session base config (see
-                                       // PrecisionConfig::apply_delta)
-
 struct TrialRequest {
-  std::uint8_t opcode = kReqFull;
   std::string key;         // config digest (journal identity, injector key)
   std::uint32_t exec_index = 0;  // per-config execution counter; the fault
                                  // injector's attempt index, so crash
                                  // retries draw fresh faults
-  std::string config_key;  // full canonical key (kReqFull) or delta script
-                           // against the session base (kReqDelta). Either
-                           // way the decoded config becomes the worker's
-                           // new session base.
+  std::string config_key;  // full canonical key of the config to run
 };
 
 std::string encode_request(const TrialRequest& req);
@@ -96,7 +86,7 @@ bool decode_request(std::string_view payload, TrialRequest* out);
 
 /// Encodes everything of `r` the search driver consumes; outputs stay in
 /// the worker (the verifier already judged them there) and the cost's
-/// cache traffic travels as one image-hit flag plus the function total.
+/// reuse traffic travels as the reused and total function counts.
 std::string encode_result(const verify::EvalResult& r);
 /// Decodes an encode_result payload. False on a short or overlong payload
 /// and on out-of-range fields, so a corrupt-but-CRC-passing value cannot

@@ -34,12 +34,6 @@ struct WorkerPool::Slot {
   std::uint64_t deadline_at = 0;  // steady ns; 0 = no supervisor timeout
   bool term_sent = false;
   std::uint64_t kill_at = 0;  // TERM grace expiry once term_sent
-  /// Driver-side mirror of the worker's delta session base: the last config
-  /// this worker successfully received. Reset on every (re)spawn -- a fresh
-  /// worker has no base, so the first request after a respawn is always a
-  /// full frame.
-  bool has_base = false;
-  config::PrecisionConfig base;
   std::size_t stats_index = 0;  // index into PoolStats::slots
 };
 
@@ -54,8 +48,6 @@ SlotStats* WorkerPool::slot_stats(const Slot& s) {
 }
 
 bool WorkerPool::spawn_slot(Slot* slot, bool respawn) {
-  // The fresh worker has no session base; delta requests would desync.
-  slot->has_base = false;
   if (!slot->worker.spawn(ctx_, opts_.limits)) return false;
   ++stats_.workers_spawned;
   if (respawn) {
@@ -158,7 +150,6 @@ void WorkerPool::note_death() {
 // failed send). Harmless when the child is already gone.
 Worker::Death WorkerPool::kill_and_reap(Slot* slot) {
   slot->worker.send_sigkill();
-  slot->has_base = false;
   Worker::Death death;
   slot->worker.reap(&death, /*block=*/true);
   return death;
@@ -208,7 +199,6 @@ void WorkerPool::process_ready(Slot* sp) {
   Worker::Death death;
   s.worker.reap(&death, /*block=*/true);
   s.busy = false;
-  s.has_base = false;
   if (s.term_sent) {
     // The supervisor killed it for exceeding the trial deadline: a
     // voting kTimeout verdict, same as the in-process deadline path.
@@ -285,22 +275,7 @@ void WorkerPool::dispatch() {
     TrialRequest req;
     req.key = w.key;
     req.exec_index = exec_counter_[w.key]++;
-    // Adaptive config encoding: ship the delta against this worker's
-    // session base when it is strictly smaller than the full canonical
-    // key; otherwise fall back to a full frame (which also re-anchors
-    // the session after large jumps).
-    std::string full = w.cfg.canonical_key();
-    if (s.has_base) {
-      std::string delta = w.cfg.encode_delta_from(s.base);
-      if (delta.size() < full.size()) {
-        req.opcode = kReqDelta;
-        req.config_key = std::move(delta);
-      }
-    }
-    if (req.opcode != kReqDelta) {
-      req.opcode = kReqFull;
-      req.config_key = std::move(full);
-    }
+    req.config_key = w.cfg.canonical_key();
     if (w.first_ns == 0) w.first_ns = now_ns();
     ++stats_.isolated_trials;
     if (!s.worker.send_request(req)) {
@@ -315,18 +290,8 @@ void WorkerPool::dispatch() {
       if (stats_.crash_storm) break;
       continue;
     }
-    // The worker advances its session base on every request it decodes;
-    // mirror that here. If it dies before decoding, the respawn resets
-    // both sides.
-    s.base = w.cfg;
-    s.has_base = true;
-    if (req.opcode == kReqDelta) {
-      ++stats_.delta_requests;
-      stats_.delta_bytes += req.config_key.size();
-    } else {
-      ++stats_.full_requests;
-      stats_.full_bytes += req.config_key.size();
-    }
+    ++stats_.full_requests;
+    stats_.full_bytes += req.config_key.size();
     if (SlotStats* ss = slot_stats(s)) ++ss->requests;
     s.busy = true;
     s.ticket = t;

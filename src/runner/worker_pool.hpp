@@ -96,11 +96,9 @@ struct PoolStats {
   /// Death census by signal name ("SIGSEGV" -> 17), plus "exit:<N>" for
   /// nonzero exits.
   std::map<std::string, std::uint64_t> crashes_by_signal;
-  /// Delta-encoded config shipping (see wire.hpp kReqDelta): requests sent
-  /// in each form and their config-payload bytes.
-  std::uint64_t delta_requests = 0;
+  /// Requests sent and their config-payload bytes.
+  std::uint64_t delta_requests = 0;  // always 0; searchbench still reads it
   std::uint64_t full_requests = 0;
-  std::uint64_t delta_bytes = 0;
   std::uint64_t full_bytes = 0;
   /// One entry per pool slot.
   std::vector<SlotStats> slots;

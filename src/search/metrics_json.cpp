@@ -45,8 +45,6 @@ std::string metrics_json(const SearchResult& res) {
   secs("predecode_seconds", c.predecode_ns);
   secs("run_seconds", c.run_ns);
   secs("verify_seconds", c.verify_ns);
-  uint("image_cache_hits", c.image_hits);
-  uint("image_cache_misses", c.image_misses);
   secs("patch_saved_seconds", c.patch_saved_ns);
   secs("predecode_saved_seconds", c.predecode_saved_ns);
   uint("funcs_reused", c.funcs_reused);
@@ -66,9 +64,7 @@ std::string metrics_json(const SearchResult& res) {
   census("crashes_by_signal", p.crashes_by_signal);
   boolean("crash_storm", p.crash_storm);
   boolean("isolation_degraded", m.isolation_degraded);
-  uint("delta_requests", p.delta_requests);
   uint("full_requests", p.full_requests);
-  uint("delta_bytes", p.delta_bytes);
   uint("full_bytes", p.full_bytes);
   uint("remote_trials", m.remote_trials);
   uint("shard_cache_hits", m.shard_cache_hits);

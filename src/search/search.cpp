@@ -173,7 +173,7 @@ class Searcher {
     adopt_fleet_journal();
     setup_journal();
     profile_original();
-    setup_builder();
+    builder_ = std::make_unique<verify::TrialBuilder>(original_, ix_);
     setup_executor();
     seed_queue();
 
@@ -543,11 +543,6 @@ class Searcher {
     }
   }
 
-  void setup_builder() {
-    if (!options_.image_cache) return;
-    builder_ = std::make_unique<verify::TrialBuilder>(original_, ix_);
-  }
-
   /// Brings the distributed scheduler up when endpoints are configured.
   /// Any startup problem (bad addresses, unreachable fleet, platform
   /// without sockets) degrades to local execution with a warning -- same
@@ -860,7 +855,7 @@ class Searcher {
           t->result.passed, t->result.failure_class, t->result.failure,
           times ? t->eval_ns : 0,
           times ? t->cost.patch_saved_ns + t->cost.predecode_saved_ns : 0,
-          times && t->cost.image_hits > 0};
+          false};
       if (journal_.is_open()) {
         // Commit locally, then replicate the exact sealed bytes to every
         // live shard: any N-1 subset of the fleet can reconstruct the
@@ -1065,9 +1060,9 @@ class Searcher {
   vm::Engine engine_ = vm::Engine::kMicroOp;
   SearchMetrics metrics_;
   Timer wall_timer_;
-  /// Shared patch+predecode front end (image_cache option). Declared
-  /// before pool_ so the pool (whose workers hold a pointer to it through
-  /// WorkerContext) is destroyed first.
+  /// Shared patch+predecode front end. Declared before pool_ so the pool
+  /// (whose workers hold a pointer to it through WorkerContext) is
+  /// destroyed first.
   std::unique_ptr<verify::TrialBuilder> builder_;
   std::unique_ptr<runner::WorkerPool> pool_;  // isolate mode only
   std::unique_ptr<Scheduler> sched_;  // distributed mode only

@@ -118,15 +118,6 @@ struct SearchOptions {
   /// space uncapped. Ignored under AddressSanitizer.
   std::uint64_t worker_rlimit_as_mb = 512;
 
-  // ---- Incremental trial pipeline ------------------------------------------
-  /// Reuse patch + predecode work across trials through a shared
-  /// verify::TrialBuilder: per-function micro-op variant caching, spliced
-  /// segment predecode, and an LRU of whole built images -- used by the
-  /// in-process path and inherited by each long-lived sandboxed worker.
-  /// Never changes results (incremental builds are bit-identical to
-  /// from-scratch builds); disable only for A/B benchmarking.
-  bool image_cache = true;
-
   // ---- Distributed execution -----------------------------------------------
   /// runner_serve endpoints ("host:port"). Non-empty routes trial
   /// evaluation through the network scheduler instead of local execution
@@ -245,9 +236,9 @@ struct SearchMetrics {
   /// "composition").
   std::map<std::string, double> eval_seconds_per_level;
   /// Cost of every live evaluation attempt, summed: where the time went
-  /// by stage, what the incremental pipeline saved, and its image-cache
-  /// and function-reuse traffic (sandboxed workers and endpoints report
-  /// theirs over the wire).
+  /// by stage, what the incremental pipeline saved, and its function-reuse
+  /// traffic (sandboxed workers and endpoints report theirs over the
+  /// wire).
   verify::TrialCost cost;
 
   // ---- Failure taxonomy and supervision -----------------------------------
@@ -272,8 +263,8 @@ struct SearchMetrics {
 
   // ---- Process isolation --------------------------------------------------
   /// The sandboxed worker pool's own counters as the search ended: worker
-  /// deaths and respawns, the per-signal crash census, delta-encoded
-  /// config frames, the per-slot census (all zero outside isolate mode).
+  /// deaths and respawns, the per-signal crash census, config frames sent,
+  /// the per-slot census (all zero outside isolate mode).
   runner::PoolStats pool;
   /// isolate_trials was requested but fork is unavailable (or no worker
   /// could be spawned); the search ran in-process instead.

@@ -43,10 +43,11 @@ struct CachedTrial {
   std::string failure;
   std::uint64_t eval_ns = 0;  // live evaluation cost when first computed
   /// Incremental-pipeline accounting when first computed: estimated
-  /// patch+predecode ns avoided vs. a cold build, and whether any attempt
-  /// was served whole from the image cache. Informational (journal
-  /// analysis); the search's decision procedure never reads them.
+  /// patch+predecode ns avoided vs. a cold build. Informational (journal
+  /// analysis); the search's decision procedure never reads it.
   std::uint64_t saved_ns = 0;
+  /// The journal's `img_hit` field: always written false, still parsed so
+  /// old journals replay, and still set by searchbench.
   bool image_cache_hit = false;
 };
 

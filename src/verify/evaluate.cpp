@@ -99,7 +99,7 @@ EvalResult evaluate_config(const program::Image& original,
       c.predecode_ns = built.predecode_ns;
       c.patch_saved_ns = built.patch_saved_ns;
       c.predecode_saved_ns = built.predecode_saved_ns;
-      c.add_build(built.cache_hit, built.funcs_reused, built.funcs_total);
+      c.add_build(built.funcs_reused, built.funcs_total);
     } else {
       program::Image patched =
           instrument::instrument_image(original, index, cfg, &result.stats);

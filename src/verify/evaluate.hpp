@@ -30,9 +30,10 @@ struct EvalOptions {
   /// campaigns); nullptr evaluates clean.
   const fault::TrialFaults* faults = nullptr;
   /// Incremental patch+predecode front end (see verify/trial_builder.hpp).
-  /// When set, trial construction reuses per-function variants and whole
-  /// cached images across evaluations; when null, every evaluation builds
-  /// from scratch. Both paths produce bit-identical executables.
+  /// When set, trial construction reuses per-function variants across
+  /// evaluations; when null, every evaluation builds from scratch (the
+  /// reference the tests compare against). Both paths produce bit-identical
+  /// executables.
   TrialBuilder* builder = nullptr;
 };
 
@@ -75,18 +76,12 @@ struct TrialCost {
   // Incremental-pipeline accounting (all zero without EvalOptions::builder).
   std::uint64_t patch_saved_ns = 0;  // estimated vs. the cold baseline
   std::uint64_t predecode_saved_ns = 0;
-  std::uint64_t image_hits = 0;     // whole image served from the LRU
-  std::uint64_t image_misses = 0;
   std::uint64_t funcs_reused = 0;   // function segments spliced unchanged
   std::uint64_t funcs_patched = 0;  // function segments re-lowered
 
-  /// Records one TrialBuilder build. funcs_total == 0 means the attempt
-  /// never reached a builder (no builder configured, or a synthetic
-  /// verdict), so it adds no cache traffic.
-  void add_build(bool image_hit, std::uint64_t reused,
-                 std::uint64_t funcs_total) {
-    if (funcs_total == 0) return;
-    ++(image_hit ? image_hits : image_misses);
+  /// Records one TrialBuilder build's function reuse (both zero when the
+  /// attempt never reached a builder).
+  void add_build(std::uint64_t reused, std::uint64_t funcs_total) {
     funcs_reused += reused;
     funcs_patched += funcs_total - reused;
   }
@@ -98,8 +93,6 @@ struct TrialCost {
     verify_ns += o.verify_ns;
     patch_saved_ns += o.patch_saved_ns;
     predecode_saved_ns += o.predecode_saved_ns;
-    image_hits += o.image_hits;
-    image_misses += o.image_misses;
     funcs_reused += o.funcs_reused;
     funcs_patched += o.funcs_patched;
     return *this;

@@ -2,85 +2,40 @@
 
 #include <utility>
 
-#include "support/hash.hpp"
 #include "support/timer.hpp"
 
 namespace fpmix::verify {
 
 TrialBuilder::TrialBuilder(const program::Image& original,
                            const config::StructureIndex& index)
-    : TrialBuilder(original, index, Options()) {}
-
-TrialBuilder::TrialBuilder(const program::Image& original,
-                           const config::StructureIndex& index,
-                           Options options)
-    : patcher_(original, index, options.instrument),
-      cache_(options.image_cache_capacity),
-      fingerprint_(image_fingerprint(original)) {}
+    : patcher_(original, index) {}
 
 TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
   Built out;
-  const std::string key = cfg.canonical_key();
-  const std::uint64_t hash = fnv1a64(key);
-
   Timer timer;
-  if (const ImageCache::Entry* hit = cache_.find(fingerprint_, hash, key)) {
-    out.exec = hit->exec;
-    out.stats = hit->stats;
-    out.cache_hit = true;
-    out.patch_ns = timer.elapsed_ns();
-    out.funcs_total =
-        static_cast<std::uint32_t>(hit->exec->segments().size());
-    out.funcs_reused = out.funcs_total;
-    if (have_cold_) {
-      out.patch_saved_ns = cold_patch_ns_ > out.patch_ns
-                               ? cold_patch_ns_ - out.patch_ns
-                               : 0;
-      out.predecode_saved_ns = cold_predecode_ns_;
-    }
+  instrument::IncrementalPatcher::Build b = patcher_.patch(cfg);
+  out.patch_ns = timer.elapsed_ns();
+  out.stats = b.stats;
+  out.funcs_reused = static_cast<std::uint32_t>(b.funcs_reused);
+  out.funcs_total = static_cast<std::uint32_t>(b.funcs_total);
+
+  timer.reset();
+  out.exec = patcher_.predecode(std::move(b));
+  out.predecode_ns = timer.elapsed_ns();
+
+  if (!have_cold_) {
+    have_cold_ = true;
+    cold_patch_ns_ = out.patch_ns;
+    cold_predecode_ns_ = out.predecode_ns;
   } else {
-    timer.reset();
-    instrument::IncrementalPatcher::Build b = patcher_.patch(cfg);
-    out.patch_ns = timer.elapsed_ns();
-    out.stats = b.stats;
-    out.funcs_reused = static_cast<std::uint32_t>(b.funcs_reused);
-    out.funcs_total = static_cast<std::uint32_t>(b.funcs_total);
-
-    timer.reset();
-    out.exec = patcher_.predecode(std::move(b));
-    out.predecode_ns = timer.elapsed_ns();
-
-    if (!have_cold_) {
-      have_cold_ = true;
-      cold_patch_ns_ = out.patch_ns;
-      cold_predecode_ns_ = out.predecode_ns;
-    } else {
-      out.patch_saved_ns = cold_patch_ns_ > out.patch_ns
-                               ? cold_patch_ns_ - out.patch_ns
-                               : 0;
-      out.predecode_saved_ns = cold_predecode_ns_ > out.predecode_ns
-                                   ? cold_predecode_ns_ - out.predecode_ns
-                                   : 0;
-    }
-    cache_.insert(fingerprint_, hash, key,
-                  ImageCache::Entry{out.exec, out.stats});
+    out.patch_saved_ns =
+        cold_patch_ns_ > out.patch_ns ? cold_patch_ns_ - out.patch_ns : 0;
+    out.predecode_saved_ns = cold_predecode_ns_ > out.predecode_ns
+                                 ? cold_predecode_ns_ - out.predecode_ns
+                                 : 0;
   }
-
-  totals_.image_cache_hits = cache_.hits();
-  totals_.image_cache_misses = cache_.misses();
-  totals_.variant_hits = patcher_.variant_hits();
-  totals_.variant_misses = patcher_.variant_misses();
-  totals_.patch_saved_ns += out.patch_saved_ns;
-  totals_.predecode_saved_ns += out.predecode_saved_ns;
-  totals_.funcs_reused += out.funcs_reused;
-  totals_.funcs_patched += out.funcs_total - out.funcs_reused;
   return out;
-}
-
-TrialBuilder::Stats TrialBuilder::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return totals_;
 }
 
 }  // namespace fpmix::verify

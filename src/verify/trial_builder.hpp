@@ -1,13 +1,13 @@
 // TrialBuilder: the shared patch+predecode front end of the evaluation
 // pipeline.
 //
-// Wraps an instrument::IncrementalPatcher (per-function variant reuse) and
-// an ImageCache (whole-image reuse for repeated configs: retries,
-// majority-vote rounds, fault campaigns) behind one thread-safe build()
-// call. verify::evaluate_config uses it when EvalOptions::builder is set --
-// both the in-process search path and each long-lived sandboxed worker keep
-// one TrialBuilder alive across trials, which is where the cross-trial
-// savings come from.
+// Wraps an instrument::IncrementalPatcher (per-function variant reuse plus
+// segment-spliced predecode) behind one thread-safe build() call.
+// verify::evaluate_config uses it when EvalOptions::builder is set -- both
+// the in-process search path and each long-lived sandboxed worker keep one
+// TrialBuilder alive across trials, which is where the cross-trial savings
+// come from. It keeps no built image: a repeated config (a vote retry)
+// rebuilds from variants that are all cached.
 #pragma once
 
 #include <cstdint>
@@ -18,24 +18,17 @@
 #include "config/structure.hpp"
 #include "instrument/incremental.hpp"
 #include "program/image.hpp"
-#include "verify/image_cache.hpp"
 
 namespace fpmix::verify {
 
 class TrialBuilder {
  public:
-  struct Options {
-    instrument::InstrumentOptions instrument;
-    std::size_t image_cache_capacity = 64;
-  };
-
   /// One built trial plus its cost/savings accounting. `*_saved_ns` are
-  /// estimates against the first (cold) build's stage times; an image-cache
-  /// hit is credited the full cold baselines.
+  /// estimates against the first (cold) build's stage times.
   struct Built {
     std::shared_ptr<const vm::ExecutableImage> exec;
     instrument::InstrumentStats stats;
-    bool cache_hit = false;
+    bool cache_hit = false;  // always false; searchbench still reads it
     std::uint64_t patch_ns = 0;
     std::uint64_t predecode_ns = 0;
     std::uint64_t patch_saved_ns = 0;
@@ -44,46 +37,26 @@ class TrialBuilder {
     std::uint32_t funcs_total = 0;
   };
 
-  /// Aggregate counters across all build() calls.
-  struct Stats {
-    std::uint64_t image_cache_hits = 0;
-    std::uint64_t image_cache_misses = 0;
-    std::uint64_t variant_hits = 0;
-    std::uint64_t variant_misses = 0;
-    std::uint64_t patch_saved_ns = 0;
-    std::uint64_t predecode_saved_ns = 0;
-    std::uint64_t funcs_reused = 0;
-    std::uint64_t funcs_patched = 0;
-  };
-
   /// `index` must have been built from `original` and outlive the builder.
   TrialBuilder(const program::Image& original,
                const config::StructureIndex& index);
-  TrialBuilder(const program::Image& original,
-               const config::StructureIndex& index, Options options);
 
-  /// Patches + predecodes `cfg`, reusing whatever the caches hold.
+  /// Patches + predecodes `cfg`, reusing every cached function variant.
   /// Bit-identical to the from-scratch instrument_image +
   /// ExecutableImage::build pipeline. Thread-safe; throws exactly where the
   /// from-scratch path would (callers already treat those as trial
   /// outcomes).
   Built build(const config::PrecisionConfig& cfg);
 
-  Stats stats() const;
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   instrument::IncrementalPatcher patcher_;
-  ImageCache cache_;
-  std::uint64_t fingerprint_;
 
   // First-build stage times: the cold baseline the savings estimates are
   // measured against.
   bool have_cold_ = false;
   std::uint64_t cold_patch_ns_ = 0;
   std::uint64_t cold_predecode_ns_ = 0;
-
-  Stats totals_;
 };
 
 }  // namespace fpmix::verify

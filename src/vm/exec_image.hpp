@@ -204,8 +204,8 @@ class ExecutableImage {
   }
 
   /// Lazily-filled JIT link cache: the JIT engine links a whole image at
-  /// most once per profile variant, so a warm ImageCache hit carries the
-  /// link table along with the predecode.
+  /// most once per profile variant, and every Machine built on the image
+  /// shares that link table.
   jit::ImageJitCache& jit_cache() const { return jit_cache_; }
 
  private:

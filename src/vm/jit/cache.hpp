@@ -5,11 +5,11 @@
 // compiled from its micro-ops -- placed once in the code arena, and read
 // through a per-image link table -- serves every image that splices it: a
 // delta trial compiles only its dirty functions. An ExecutableImage is
-// shared too (ImageCache, forked workers), so its link (link table plus
-// native address table, no code) is built at most once per profile
-// variant. Both caches live behind a mutex on the otherwise-const owner;
-// exec_image.hpp embeds these handles by value, which is why this header
-// stays free of the emitter/linker machinery.
+// shared too (by every Machine built on it, and by forked workers), so its
+// link (link table plus native address table, no code) is built at most
+// once per profile variant. Both caches live behind a mutex on the
+// otherwise-const owner; exec_image.hpp embeds these handles by value,
+// which is why this header stays free of the emitter/linker machinery.
 #pragma once
 
 #include <memory>

@@ -11,7 +11,7 @@
 //     no code: a per-function link table (FuncSlot: entry, end, byte base,
 //     first index) and a per-instruction native address table for
 //     resume/ret/fallback re-entry. O(functions + instructions) stores.
-//     Cached on the ExecutableImage, so a warm ImageCache hit carries it.
+//     Cached on the ExecutableImage, so every Machine built on it shares it.
 //
 // Placed code is position-independent with respect to its image. Branches
 // inside a function are resolved when the blob is compiled; everything that

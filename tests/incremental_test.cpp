@@ -1,15 +1,14 @@
 // Differential tests for the incremental trial pipeline: per-function
-// variant caching (instrument::IncrementalPatcher), sparse re-instrumentation
-// (instrument_delta), segment-spliced predecode, the whole-image LRU
-// (verify::ImageCache), the shared TrialBuilder front end, and
-// cache-on/cache-off search equivalence on both execution engines and under
-// process isolation with an active hard-fault campaign.
+// variant caching (instrument::IncrementalPatcher), segment-spliced
+// predecode, the shared TrialBuilder front end, and search equivalence
+// against a from-scratch reference in-process and under process isolation
+// with an active hard-fault campaign.
 //
 // The non-negotiable property throughout: an incrementally built trial is
 // BIT-identical to the from-scratch instrument_image + ExecutableImage::build
 // pipeline -- same image bytes, same outputs on both VM engines -- and a
-// cached search converges to the byte-identical final configuration of an
-// uncached one.
+// search that builds through a TrialBuilder converges to the byte-identical
+// final configuration of one that builds every trial from scratch.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -28,7 +27,6 @@
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "verify/evaluate.hpp"
-#include "verify/image_cache.hpp"
 #include "verify/trial_builder.hpp"
 #include "verify/verifier.hpp"
 #include "vm/machine.hpp"
@@ -258,77 +256,6 @@ TEST(IncrementalPatcher, BitIdenticalOnKernelImage) {
 }
 
 // ---------------------------------------------------------------------------
-// instrument_delta: sparse re-instrumentation equals a full instrument().
-
-TEST(InstrumentDelta, MatchesFromScratchInstrument) {
-  const Prepared p = prepare_structured();
-  const program::Program prog = program::lift(p.image);
-
-  SplitMix64 rng(0xDE17AB);
-  for (int round = 0; round < 25; ++round) {
-    const PrecisionConfig base_cfg = random_config(p.index, &rng, 8);
-    const instrument::InstrumentResult base =
-        instrument::instrument(prog, p.index, base_cfg);
-    const PrecisionConfig cfg = mutate_config(p.index, base_cfg, &rng);
-
-    const instrument::InstrumentResult want =
-        instrument::instrument(prog, p.index, cfg);
-    const instrument::InstrumentResult got =
-        instrument::instrument_delta(prog, p.index, base_cfg, base, cfg);
-
-    const std::string what = "round " + std::to_string(round);
-    expect_images_identical(program::relayout(got.patched),
-                            program::relayout(want.patched), what);
-    ASSERT_EQ(got.stats.wrapped, want.stats.wrapped) << what;
-    ASSERT_EQ(got.stats.replaced_single, want.stats.replaced_single) << what;
-    ASSERT_EQ(got.stats.ignored, want.stats.ignored) << what;
-    ASSERT_EQ(got.stats.snippet_instrs, want.stats.snippet_instrs) << what;
-    ASSERT_EQ(got.per_function.size(), want.per_function.size()) << what;
-    for (std::size_t f = 0; f < want.per_function.size(); ++f) {
-      ASSERT_EQ(got.per_function[f].wrapped, want.per_function[f].wrapped)
-          << what << " func " << f;
-    }
-  }
-}
-
-TEST(InstrumentDelta, DirtySetIsSparseForLocalEdits) {
-  const Prepared p = prepare_structured();
-  PrecisionConfig a;
-  PrecisionConfig b = a;
-  // One instruction flag dirties exactly its containing function.
-  b.set_instr(0, Precision::kSingle);
-  const std::vector<std::size_t> dirty =
-      instrument::dirty_functions(p.index, a, b);
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0], p.index.instrs()[0].func);
-  // Identical configs dirty nothing.
-  EXPECT_TRUE(instrument::dirty_functions(p.index, a, a).empty());
-}
-
-// ---------------------------------------------------------------------------
-// ImageCache: LRU behaviour and the hash-collision guard.
-
-TEST(ImageCache, LruEvictionAndCollisionGuard) {
-  const Prepared p = prepare_structured();
-  const auto exec = vm::ExecutableImage::build(p.image);
-  const std::uint64_t fp = verify::image_fingerprint(p.image);
-
-  verify::ImageCache cache(2);
-  cache.insert(fp, 1, "k1", verify::ImageCache::Entry{exec, {}});
-  cache.insert(fp, 2, "k2", verify::ImageCache::Entry{exec, {}});
-  ASSERT_NE(cache.find(fp, 1, "k1"), nullptr);  // refreshes k1's recency
-  cache.insert(fp, 3, "k3", verify::ImageCache::Entry{exec, {}});
-  EXPECT_EQ(cache.find(fp, 2, "k2"), nullptr);  // k2 was the LRU entry
-  EXPECT_NE(cache.find(fp, 1, "k1"), nullptr);
-  EXPECT_NE(cache.find(fp, 3, "k3"), nullptr);
-  // Same (fingerprint, hash) but a different canonical key is a 64-bit
-  // collision: must degrade to a miss, never serve the wrong image.
-  EXPECT_EQ(cache.find(fp, 1, "other-config"), nullptr);
-  // A different image fingerprint never hits either.
-  EXPECT_EQ(cache.find(fp + 1, 1, "k1"), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // TrialBuilder: reuse accounting and bit-identity of the served images.
 
 TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
@@ -338,7 +265,6 @@ TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
   SplitMix64 rng(0x7B);
   const PrecisionConfig a = random_config(p.index, &rng, 6);
   const verify::TrialBuilder::Built b1 = builder.build(a);
-  EXPECT_FALSE(b1.cache_hit);
   ASSERT_NE(b1.exec, nullptr);
   EXPECT_EQ(b1.funcs_total, b1.exec->segments().size());
 
@@ -350,27 +276,42 @@ TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
                                run_engine(scratch, vm::Engine::kMicroOp),
                                "builder vs scratch");
 
-  // Same config again: whole-image hit serving the same executable.
+  // Same config again (a vote retry): every function variant and every
+  // predecoded segment is reused, and the image is rebuilt identically.
   const verify::TrialBuilder::Built b2 = builder.build(a);
-  EXPECT_TRUE(b2.cache_hit);
-  EXPECT_EQ(b2.exec.get(), b1.exec.get());
   EXPECT_EQ(b2.funcs_reused, b2.funcs_total);
+  ASSERT_EQ(b2.exec->segments().size(), b1.exec->segments().size());
+  for (std::size_t i = 0; i < b1.exec->segments().size(); ++i) {
+    EXPECT_EQ(b2.exec->segments()[i].get(), b1.exec->segments()[i].get());
+  }
+  expect_images_identical(b2.exec->image(), b1.exec->image(), "retry");
 
-  // A neighbour misses the image cache but reuses most function variants.
+  // A neighbour reuses most function variants.
   const verify::TrialBuilder::Built b3 =
       builder.build(mutate_config(p.index, a, &rng));
-  EXPECT_FALSE(b3.cache_hit);
   EXPECT_GT(b3.funcs_reused, 0u);
+}
 
-  const verify::TrialBuilder::Stats s = builder.stats();
-  EXPECT_EQ(s.image_cache_hits, 1u);
-  EXPECT_EQ(s.image_cache_misses, 2u);
-  EXPECT_GT(s.funcs_reused, 0u);
+TEST(TrialBuilder, HoldsNoImageAfterCaller) {
+  const Prepared p = prepare_structured();
+  verify::TrialBuilder builder(p.image, p.index);
+  SplitMix64 rng(0x40);
+  std::weak_ptr<const vm::ExecutableImage> held;
+  {
+    const verify::TrialBuilder::Built b =
+        builder.build(random_config(p.index, &rng, 6));
+    held = b.exec;
+    ASSERT_FALSE(held.expired());
+  }
+  // The builder caches function variants, never whole images: once the
+  // caller drops its Built, the executable is freed.
+  EXPECT_TRUE(held.expired());
 }
 
 // ---------------------------------------------------------------------------
-// Search equivalence: caching on vs off converges to the byte-identical
-// final configuration (in-process, isolated, and isolated under faults).
+// Search equivalence: a search that builds through its TrialBuilder
+// converges to the byte-identical final configuration of a from-scratch
+// reference (in-process, isolated, and isolated under faults).
 
 struct SearchSetup {
   program::Image image;
@@ -390,30 +331,53 @@ SearchSetup search_setup() {
 }
 
 search::SearchResult run_once(const SearchSetup& s,
-                              search::SearchOptions opts) {
+                              const search::SearchOptions& opts,
+                              search::TrialExecutor executor = nullptr) {
   StructureIndex ix = s.index;  // run_search updates profile weights in place
-  return search::run_search(s.image, &ix, *s.verifier, opts);
+  return search::run_search(s.image, &ix, *s.verifier, opts,
+                            std::move(executor));
+}
+
+/// The clean from-scratch reference: every attempt runs in-process through
+/// evaluate_config with no builder, so each trial is patched and
+/// predecoded anew.
+search::SearchResult run_reference(const SearchSetup& s,
+                                   const search::SearchOptions& opts) {
+  verify::EvalOptions eval;
+  eval.max_instructions = opts.max_instructions_per_run;
+  eval.engine = opts.engine;
+  search::SearchOptions ref = opts;
+  ref.isolate_trials = false;
+  ref.fault_injector = nullptr;
+  return run_once(
+      s, ref, [&s, eval](const std::vector<runner::TrialJob>& jobs) {
+        std::vector<runner::TrialOutcome> outs(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          outs[i].result = verify::evaluate_config(
+              s.image, s.index, *jobs[i].config, *s.verifier, eval);
+        }
+        return outs;
+      });
+}
+
+void expect_same_search(const search::SearchResult& got,
+                        const search::SearchResult& want) {
+  EXPECT_EQ(got.final_config.canonical_key(),
+            want.final_config.canonical_key());
+  EXPECT_EQ(got.final_passed, want.final_passed);
+  EXPECT_EQ(got.configs_tested, want.configs_tested);
+  // The search reused function variants; the reference never did.
+  EXPECT_GT(got.metrics.cost.funcs_reused, 0u);
+  EXPECT_EQ(want.metrics.cost.funcs_reused, 0u);
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalInProcess) {
   const SearchSetup s = search_setup();
   search::SearchOptions opts;
   opts.keep_log = false;
-  opts.max_retries = 1;  // retries make the image cache actually hit
+  opts.max_retries = 1;  // every vote retry rebuilds a config just built
 
-  search::SearchOptions cold = opts;
-  cold.image_cache = false;
-  const search::SearchResult with_cache = run_once(s, opts);
-  const search::SearchResult without_cache = run_once(s, cold);
-
-  EXPECT_EQ(with_cache.final_config.canonical_key(),
-            without_cache.final_config.canonical_key());
-  EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
-  EXPECT_EQ(with_cache.configs_tested, without_cache.configs_tested);
-  EXPECT_GT(with_cache.metrics.cost.image_hits, 0u);
-  EXPECT_GT(with_cache.metrics.cost.funcs_reused, 0u);
-  EXPECT_EQ(without_cache.metrics.cost.image_hits, 0u);
-  EXPECT_EQ(without_cache.metrics.cost.funcs_reused, 0u);
+  expect_same_search(run_once(s, opts), run_reference(s, opts));
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {
@@ -425,17 +389,11 @@ TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {
   opts.num_workers = 2;
   opts.max_retries = 1;
 
-  search::SearchOptions cold = opts;
-  cold.image_cache = false;
-  const search::SearchResult with_cache = run_once(s, opts);
-  const search::SearchResult without_cache = run_once(s, cold);
-
-  EXPECT_EQ(with_cache.final_config.canonical_key(),
-            without_cache.final_config.canonical_key());
-  EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
-  // Delta frames were exchanged and the per-slot census saw the traffic.
-  const runner::PoolStats& pool = with_cache.metrics.pool;
-  EXPECT_GT(pool.delta_requests, 0u);
+  const search::SearchResult isolated = run_once(s, opts);
+  expect_same_search(isolated, run_reference(s, opts));
+  // Every request carried a full config, and the per-slot census saw it.
+  const runner::PoolStats& pool = isolated.metrics.pool;
+  EXPECT_EQ(pool.full_requests, pool.isolated_trials);
   ASSERT_EQ(pool.slots.size(), 2u);
   std::size_t slot_requests = 0;
   for (const auto& slot : pool.slots) slot_requests += slot.requests;
@@ -447,7 +405,7 @@ TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {
   const SearchSetup s = search_setup();
   // Process-destroying faults only: every crash is absorbed as a retried
   // fault event, so verdicts (and the final config) must stay identical to
-  // a clean run -- with or without warm caches.
+  // the clean reference.
   fault::Injector::Rates rates;
   rates.segv = 0.05;
   rates.kill = 0.03;
@@ -461,16 +419,10 @@ TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {
   opts.max_retries = 1;
   opts.fault_injector = &injector;
 
-  search::SearchOptions cold = opts;
-  cold.image_cache = false;
-  const search::SearchResult with_cache = run_once(s, opts);
-  const search::SearchResult without_cache = run_once(s, cold);
-
-  EXPECT_EQ(with_cache.final_config.canonical_key(),
-            without_cache.final_config.canonical_key());
-  EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
+  const search::SearchResult faulted = run_once(s, opts);
+  expect_same_search(faulted, run_reference(s, opts));
   // The campaign actually fired, and respawns were attributed to slots.
-  const runner::PoolStats& pool = with_cache.metrics.pool;
+  const runner::PoolStats& pool = faulted.metrics.pool;
   EXPECT_GT(pool.worker_crashes + pool.protocol_errors, 0u);
   std::size_t slot_respawns = 0;
   for (const auto& slot : pool.slots) slot_respawns += slot.respawns;

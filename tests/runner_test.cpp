@@ -118,7 +118,6 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.cost.predecode_ns = 2;
   er.cost.run_ns = 3;
   er.cost.verify_ns = 4;
-  er.cost.image_hits = 1;
   er.cost.patch_saved_ns = 111;
   er.cost.predecode_saved_ns = 222;
   er.cost.funcs_reused = 5;
@@ -140,7 +139,6 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "0200000000000000"  // predecode_ns
             "0300000000000000"  // run_ns
             "0400000000000000"  // verify_ns
-            "01"  // image_cache_hit
             "6f00000000000000"  // patch_saved_ns
             "de00000000000000"  // predecode_saved_ns
             "05000000"  // funcs_reused
@@ -153,32 +151,11 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.failure, er.failure);
   EXPECT_EQ(er2.instructions_retired, er.instructions_retired);
   EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
-  EXPECT_EQ(er2.cost.image_hits, er.cost.image_hits);
   EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);
   EXPECT_EQ(er2.cost.predecode_saved_ns, er.cost.predecode_saved_ns);
   EXPECT_EQ(er2.cost.funcs_reused, er.cost.funcs_reused);
   EXPECT_EQ(er2.cost.funcs_reused + er2.cost.funcs_patched,
             er.cost.funcs_reused + er.cost.funcs_patched);
-}
-
-TEST(Wire, DeltaRequestRoundTripAndOpcodeValidation) {
-  runner::TrialRequest req;
-  req.opcode = runner::kReqDelta;
-  req.key = "cfg-digest-def";
-  req.exec_index = 3;
-  req.config_key = "f3=s;i12=-;";  // delta payload: changed subtree only
-  runner::TrialRequest back;
-  ASSERT_TRUE(runner::decode_request(runner::encode_request(req), &back));
-  EXPECT_EQ(back.opcode, runner::kReqDelta);
-  EXPECT_EQ(back.key, req.key);
-  EXPECT_EQ(back.config_key, req.config_key);
-
-  // Unknown opcodes are a protocol error, not a guess.
-  std::string bad = runner::encode_request(req);
-  bad[0] = 0x7F;
-  EXPECT_FALSE(runner::decode_request(bad, &back));
-  bad[0] = 0;
-  EXPECT_FALSE(runner::decode_request(bad, &back));
 }
 
 TEST(Wire, RejectsOutOfRangeEnums) {

@@ -459,8 +459,6 @@ TEST(MetricsJson, KeySetAndValueTypesArePinned) {
       "predecode_seconds:float",
       "run_seconds:float",
       "verify_seconds:float",
-      "image_cache_hits:int",
-      "image_cache_misses:int",
       "patch_saved_seconds:float",
       "predecode_saved_seconds:float",
       "funcs_reused:int",
@@ -481,9 +479,7 @@ TEST(MetricsJson, KeySetAndValueTypesArePinned) {
       "crashes_by_signal.SIGSEGV:int",
       "crash_storm:bool",
       "isolation_degraded:bool",
-      "delta_requests:int",
       "full_requests:int",
-      "delta_bytes:int",
       "full_bytes:int",
       "remote_trials:int",
       "shard_cache_hits:int",
